@@ -20,6 +20,7 @@ import hashlib
 import json
 import struct
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,9 @@ from .model import ModelConfig, ModelParams, forward
 from .training import TrainConfig, train
 
 CHECKPOINT_MAGIC = b"EVCK"
-CHECKPOINT_VERSION = 1
+# Version 2: anchor sets come from the splitmix64 sampler. Anchors are
+# recomputed at load time, so a version-1 model would see different ones.
+CHECKPOINT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -134,6 +137,11 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if manifest_end > len(raw):
         raise CheckpointError(f"{path}: truncated manifest")
     manifest = json.loads(raw[8:manifest_end].decode("utf-8"))
+    if manifest.get("format_version") == 1:
+        raise CheckpointError(
+            f"{path}: format version 1 was written by the old anchor sampler, "
+            "whose anchor sets this version no longer reproduces; retrain the model"
+        )
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {manifest.get('format_version')}"
@@ -234,11 +242,13 @@ def cmd_train(args) -> int:
     train_config: TrainConfig = run["train"]
     if args.seed is not None:
         train_config.seed = args.seed
-    if args.variant is not None:
-        model_config.variant = args.variant
-        model_config.__post_init__()
-    if args.knn_k is not None:
-        model_config.knn_k = args.knn_k
+    overrides = {"variant": args.variant, "knn_k": args.knn_k}
+    try:
+        model_config = replace(
+            model_config, **{k: v for k, v in overrides.items() if v is not None}
+        )
+    except ValueError as err:
+        raise ConfigError(f"invalid override: {err}") from err
     if not run["data"].get("family") or not run["data"].get("split"):
         raise ConfigError("train requires data.family and data.split")
     family, split, graph, protein_feats, residue_feats = _load_inputs(

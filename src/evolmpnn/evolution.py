@@ -3,9 +3,19 @@
 Anchor sets are random subsets of the training proteins; each protein
 receives messages built from its residue-level difference to the set's
 pooled residues, elementwise-modulated by the set's protein embedding.
-Set membership is decided by a keyed hash of (seed, draw, layer, set,
-protein id), so sampling is reproducible, independent of record order,
-and refreshable per training step while staying frozen at evaluation.
+Set membership is decided by a keyed hash, so sampling is reproducible,
+independent of record order, and refreshable per training step while
+staying frozen at evaluation:
+
+- each protein id is hashed once per call to a 64-bit key, the
+  little-endian value of ``blake2b(id.encode("utf-8"), digest_size=8)``;
+- the parts (seed, draw, layer) fold into a base salt, starting from 0,
+  via ``base = mix((base ^ part) + G)``, and set j gets the salt
+  ``salt_j = mix(base + j * G)``, where G = 0x9E3779B97F4A7C15, ``mix`` is
+  the splitmix64 finalizer and all arithmetic wraps modulo 2^64;
+- with inclusion probability p_j = 2^-e_j, a protein joins set j iff the
+  top e_j bits of ``mix(key ^ salt_j)`` are all zero, the exact integer
+  form of a uniform draw falling below p_j.
 
 Inclusion probabilities follow 1/2^j but cycle once j exceeds log2(M),
 since deeper sets would otherwise be empty almost surely; every set that
@@ -65,17 +75,33 @@ def anchor_count(m_train: int) -> int:
     return max(1, log_m * log_m)
 
 
+def _inclusion_exponent(j: int, m_train: int) -> int:
+    """Exponent e with inclusion probability 2^-e for set j (1-based)."""
+    cycle = max(1, math.ceil(math.log2(m_train)) if m_train > 1 else 0)
+    return 1 + (j - 1) % cycle
+
+
 def inclusion_probability(j: int, m_train: int) -> float:
     """Probability that a training protein joins set j (1-based)."""
-    cycle = max(1, math.ceil(math.log2(m_train)) if m_train > 1 else 0)
-    return 2.0 ** -(1 + ((j - 1) % cycle))
+    return 2.0 ** -_inclusion_exponent(j, m_train)
 
 
-def _uniform01(*parts) -> float:
-    digest = hashlib.blake2b(
-        "|".join(str(p) for p in parts).encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little") / 2.0**64
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MASK64 = (1 << 64) - 1
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array; callers silence overflow."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _id_keys(ids: list[str]) -> np.ndarray:
+    digests = b"".join(
+        hashlib.blake2b(rid.encode("utf-8"), digest_size=8).digest() for rid in ids
+    )
+    return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
 
 
 def sample_anchor_sets(
@@ -89,35 +115,40 @@ def sample_anchor_sets(
 
     Membership is keyed on protein ids, so any reordering of ``train_ids``
     yields the same sets. ``draw`` distinguishes training steps; evaluation
-    uses draw 0.
+    uses draw 0. Sets are drawn one at a time, so memory stays O(M).
     """
-    ids = list(train_ids)
-    if not ids:
+    pool = sorted(train_ids)
+    if not pool:
         raise ValueError("cannot sample anchors from an empty training pool")
-    m = len(ids)
+    m = len(pool)
     k = policy.k if policy.k is not None else anchor_count(m)
     if k < 1:
         raise ValueError("anchor count must be >= 1")
     layer_key = layer_index if policy.resample_per_layer else 0
-    fallback = fallback_id if fallback_id in set(ids) else min(ids)
-    sets = []
-    for j in range(1, k + 1):
-        p = inclusion_probability(j, m)
-        members = tuple(
-            sorted(
-                rid
-                for rid in ids
-                if _uniform01(policy.seed, draw, layer_key, j, rid) < p
+    fallback = fallback_id if fallback_id in set(pool) else pool[0]
+    keys = _id_keys(pool)
+    pool_ids = np.array(pool, dtype=object)
+    with np.errstate(over="ignore"):
+        base = np.zeros(1, dtype=np.uint64)
+        for part in (policy.seed, draw, layer_key):
+            base = _mix((base ^ np.uint64(int(part) & _MASK64)) + _GOLDEN)
+        salts = _mix(base + np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN)
+        sets = []
+        for j in range(1, k + 1):
+            e = _inclusion_exponent(j, m)
+            hit = (_mix(keys ^ salts[j - 1]) >> np.uint64(64 - e)) == 0
+            members = tuple(pool_ids[hit].tolist())
+            fell_back = not members
+            if fell_back:
+                members = (fallback,)
+            sets.append(
+                AnchorSet(
+                    index=j,
+                    member_ids=members,
+                    inclusion_prob=2.0**-e,
+                    fallback_used=fell_back,
+                )
             )
-        )
-        fell_back = not members
-        if fell_back:
-            members = (fallback,)
-        sets.append(
-            AnchorSet(
-                index=j, member_ids=members, inclusion_prob=p, fallback_used=fell_back
-            )
-        )
     return sets
 
 

@@ -5,10 +5,11 @@ residue attention stack, applies the configured evolution layers, and
 reads predictions off a linear head over the concatenation of the final
 protein embedding and the mean-pooled residues.
 
-The anchor-based variant only ever touches the rows it is asked about plus
-the anchor members, so training batches and evaluation chunks never
-materialize the full family; the graph and all-pairs variants are
-transductive and always compute over every record.
+The anchor-based variant encodes the rows it is asked about plus the union
+of every layer's anchor members. Every cycle of inclusion probabilities has
+a p = 1/2 set, so that union is in practice the whole training pool: a
+training batch encodes the batch plus the pool. The graph and all-pairs
+variants are transductive and always compute over every record.
 """
 
 from __future__ import annotations

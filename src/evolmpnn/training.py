@@ -1,10 +1,10 @@
 """Optimisation loop: Adam, target standardization, early stopping.
 
 Training shuffles the train rows into mini-batches; for the anchor-based
-variant each batch forward pulls in the current anchor members, so the
-full family is never required. Validation Spearman drives model selection
-and the returned parameters are the ones from the best validation epoch.
-Everything is reproducible from (seed, config, data).
+variant each batch forward also encodes the current anchor members, which
+in practice cover the whole training pool. Validation Spearman drives
+model selection and the returned parameters are the ones from the best
+validation epoch. Everything is reproducible from (seed, config, data).
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -227,13 +228,11 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, run, path)
         raw = path.read_bytes()
-        import struct as _struct
-
-        (mlen,) = _struct.unpack_from("<I", raw, 4)
+        (mlen,) = struct.unpack_from("<I", raw, 4)
         manifest = json.loads(raw[8 : 8 + mlen])
         manifest["tensors"][0]["shape"] = [1, 1]
         edited = json.dumps(manifest, sort_keys=True).encode()
-        path.write_bytes(raw[:4] + _struct.pack("<I", len(edited)) + edited + raw[8 + mlen :])
+        path.write_bytes(raw[:4] + struct.pack("<I", len(edited)) + edited + raw[8 + mlen :])
         name = manifest["tensors"][0]["name"]
         with pytest.raises(CheckpointError, match=name):
             load_checkpoint(path)
@@ -244,19 +243,28 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_checkpoint(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    def write_with_version(self, path, version):
         params, run = self.make_params()
-        path = tmp_path / "model.ckpt"
         save_checkpoint(params, run, path)
         raw = path.read_bytes()
-        import struct as _struct
-
-        (mlen,) = _struct.unpack_from("<I", raw, 4)
+        (mlen,) = struct.unpack_from("<I", raw, 4)
         manifest = json.loads(raw[8 : 8 + mlen])
-        manifest["format_version"] = 99
+        manifest["format_version"] = version
         edited = json.dumps(manifest, sort_keys=True).encode()
-        path.write_bytes(raw[:4] + _struct.pack("<I", len(edited)) + edited + raw[8 + mlen :])
+        path.write_bytes(raw[:4] + struct.pack("<I", len(edited)) + edited + raw[8 + mlen :])
+
+    def test_version_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        self.write_with_version(path, 99)
         with pytest.raises(CheckpointError, match="unsupported format version"):
+            load_checkpoint(path)
+
+    def test_version_1_asks_for_retraining(self, tmp_path):
+        # Anchors are recomputed at load time, so a model trained against the
+        # old sampler's anchors must not silently evaluate against new ones.
+        path = tmp_path / "model.ckpt"
+        self.write_with_version(path, 1)
+        with pytest.raises(CheckpointError, match="old anchor sampler.*retrain"):
             load_checkpoint(path)
 
 
@@ -317,6 +325,19 @@ class TestTrainEvalPipeline:
         assert run_back["model"]["knn_k"] == 3
         capsys.readouterr()
         assert dispatch(["eval", "--ckpt", str(ckpt)]) == 0
+
+    def test_invalid_override_is_a_config_error(self, tmp_path, capsys):
+        family_path, split_path = make_dataset(tmp_path)
+        cfg = run_config_json(tmp_path, family_path, split_path)
+        ckpt = tmp_path / "g.ckpt"
+        capsys.readouterr()
+        code = dispatch(
+            ["train", "--config", str(cfg), "--out", str(ckpt), "--knn-k", "0"]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "knn_k must be positive" in err["error"]
+        assert not ckpt.exists()
 
     def test_distortion_reference(self, tmp_path, capsys):
         family_path, _ = make_dataset(tmp_path)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +100,46 @@ class TestSampling:
         sigma_mean = np.sqrt(m * 0.5 * 0.5 / reps)
         assert abs(np.mean(sizes) - m * 0.5) <= 3 * sigma_mean
 
+    @pytest.mark.parametrize(
+        "seed,draw,layer", [(0, 0, 0), (3, 7, 1), (-5, 2, 0), (2**40, 123456, 3)]
+    )
+    def test_matches_pure_python_reference(self, seed, draw, layer):
+        ids = [f"p{i}" for i in range(50)]
+        sets = sample_anchor_sets(ids, AnchorPolicy(seed=seed), layer, draw, "p7")
+        expected = reference_anchor_sets(ids, seed, draw, layer, anchor_count(50), "p7")
+        assert [(s.member_ids, s.fallback_used) for s in sets] == expected
+        assert any(fell_back for _, fell_back in expected)  # fallback compared too
+
+    def test_negative_seed_wraps_modulo_2_64(self):
+        ids = [f"p{i}" for i in range(64)]
+        neg = sample_anchor_sets(ids, AnchorPolicy(seed=-1), 0)
+        wrapped = sample_anchor_sets(ids, AnchorPolicy(seed=2**64 - 1), 0)
+        zero = sample_anchor_sets(ids, AnchorPolicy(seed=0), 0)
+        assert [s.member_ids for s in neg] == [s.member_ids for s in wrapped]
+        assert [s.member_ids for s in neg] != [s.member_ids for s in zero]
+
+    def test_large_pool_sizes_follow_probabilities_in_linear_memory(self):
+        # Paper-scale pool: M = 82,583 and k = 289, so a (k x M) uint64 block
+        # would take 191 MB. Sets sharing an exponent pool into one binomial.
+        m, k = 82583, 289
+        ids = [f"v{i}" for i in range(m)]
+        tracemalloc.start()
+        try:
+            sets = sample_anchor_sets(ids, AnchorPolicy(k=k, seed=11), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        by_prob: dict[float, list[int]] = {}
+        for s in sets:
+            assert s.inclusion_prob == inclusion_probability(s.index, m)
+            by_prob.setdefault(s.inclusion_prob, []).append(s.raw_size)
+        assert len(by_prob) == 17  # ceil(log2 82583)
+        for p, sizes in by_prob.items():
+            n = len(sizes) * m
+            z = (sum(sizes) - n * p) / math.sqrt(n * p * (1 - p))
+            assert abs(z) <= 4.0, (p, sizes)
+
     def test_membership_matrix_rows_average(self):
         sets = [
             AnchorSet(1, ("a", "c"), 0.5),
@@ -103,6 +147,38 @@ class TestSampling:
         ]
         mat = membership_matrix(sets, {"a": 0, "b": 1, "c": 2}, 3)
         np.testing.assert_allclose(mat, [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def reference_mix(x):
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def reference_anchor_sets(ids, seed, draw, layer, k, fallback):
+    """Slow keyed sampler on Python ints: (members, fell_back) per set."""
+    keys = {
+        rid: int.from_bytes(
+            hashlib.blake2b(rid.encode("utf-8"), digest_size=8).digest(), "little"
+        )
+        for rid in ids
+    }
+    base = 0
+    for part in (seed, draw, layer):
+        base = reference_mix(((base ^ (part & _MASK64)) + _GOLDEN) & _MASK64)
+    out = []
+    for j in range(1, k + 1):
+        salt = reference_mix((base + j * _GOLDEN) & _MASK64)
+        e = round(-math.log2(inclusion_probability(j, len(ids))))
+        members = tuple(
+            sorted(rid for rid in ids if reference_mix(keys[rid] ^ salt) >> (64 - e) == 0)
+        )
+        out.append((members, False) if members else ((fallback,), True))
+    return out
 
 
 class TestReferenceOps:

@@ -255,4 +255,4 @@ class TestGradientCheck:
 
 
 # Computed once by running the straight-line oracle above (seed 7).
-FROZEN_Y_HAT = np.array([0.18686385, 0.61537774, 0.41849551, -0.36311080])
+FROZEN_Y_HAT = np.array([0.18655515, 0.61563723, 0.41692227, -0.36243702])
