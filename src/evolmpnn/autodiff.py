@@ -64,10 +64,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -81,33 +77,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def constant(x) -> Tensor:
@@ -199,6 +168,8 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     bitwise-identical output rows regardless of their position (BLAS kernels
     round differently across row blocks). Batched inputs run one GEMM per
     slice, which is already position-independent."""
+    if x.shape[-1] != y.shape[-2]:
+        raise ValueError(f"matmul shape mismatch: {x.shape} @ {y.shape}")
     if x.ndim == 2 and y.ndim == 2:
         return np.einsum("ij,jk->ik", x, y, optimize=False)
     return np.matmul(x, y)

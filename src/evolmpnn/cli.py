@@ -38,7 +38,7 @@ from .data import (
 )
 from .embeddings import load_protein_sidecar, load_residue_sidecar
 from .evaluation import bourgain_embedding, distortion, evaluate
-from .model import ModelConfig, ModelParams, forward
+from .model import ModelConfig, ModelParams, forward, init_params
 from .training import TrainConfig, train
 
 CHECKPOINT_MAGIC = b"EVCK"
@@ -171,9 +171,34 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         value = np.frombuffer(blob, dtype="<f4", count=expected // 4, offset=start)
         value = value.reshape(entry["shape"]).astype(config.np_dtype)
         (tensors if entry["kind"] == "param" else buffers)[entry["name"]] = value
+    _check_against_config(path, config, tensors, buffers)
     params = ModelParams(tensors, buffers)
     params.check_finite()
     return params, manifest["config"]
+
+
+def _check_against_config(path, config: ModelConfig, tensors: dict, buffers: dict) -> None:
+    """Stored names and shapes must be those ``init_params`` gives the config.
+
+    The sequence length comes from the stored position table.
+    """
+    phi_pos = tensors.get("phi_pos")
+    n = phi_pos.shape[0] if phi_pos is not None and phi_pos.ndim else 1
+    fresh = init_params(config, n)
+    for kind, stored, expected in (
+        ("tensor", tensors, fresh.tensors),
+        ("buffer", buffers, fresh.buffers),
+    ):
+        for name in sorted(expected.keys() - stored.keys()):
+            raise CheckpointError(f"{path}: missing {kind} {name!r}")
+        for name, value in stored.items():
+            if name not in expected:
+                raise CheckpointError(f"{path}: unexpected {kind} {name!r}")
+            if value.shape != expected[name].shape:
+                raise CheckpointError(
+                    f"{path}: {kind} {name!r} has shape {list(value.shape)}, "
+                    f"the model config needs {list(expected[name].shape)}"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -109,13 +109,6 @@ class Family:
         return (self._encoded != wt).sum(axis=1)
 
 
-def hamming(a: str, b: str) -> int:
-    """Number of substitutions between two equal-length sequences."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -262,11 +255,12 @@ def load_split(path, family: Family | None = None) -> SplitAssignment:
 
 def _carve_validation(
     family: Family, pool_rows: list[int], valid_frac: float, seed: int
-) -> tuple[set[int], set[int]]:
-    """Split a training pool into train/valid; the wild type stays in train.
+) -> dict[str, str]:
+    """Tag every record: the pool splits into train/valid, the rest is test.
 
-    The validation count is ceil(valid_frac * pool); this reproduces the
-    published per-split counts for every benchmark family size.
+    The wild type stays in train. The validation count is
+    ceil(valid_frac * pool); this reproduces the published per-split counts
+    for every benchmark family size.
     """
     if not 0 < valid_frac < 1:
         raise SplitError(f"valid_frac must be in (0,1), got {valid_frac}")
@@ -276,8 +270,11 @@ def _carve_validation(
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(candidates), size=n_valid, replace=False) if n_valid else []
     valid = {candidates[i] for i in np.sort(np.asarray(chosen, dtype=int))}
-    train = set(pool_rows) - valid
-    return train, valid
+    pool = set(pool_rows)
+    return {
+        rid: "valid" if i in valid else "train" if i in pool else "test"
+        for i, rid in enumerate(family.ids)
+    }
 
 
 def split_lambda_vs_rest(
@@ -290,10 +287,7 @@ def split_lambda_vs_rest(
     pool_rows = [i for i in range(family.m) if counts[i] <= lam]
     if not pool_rows:
         raise SplitError(f"lambda={lam} produces an empty train pool")
-    train, valid = _carve_validation(family, pool_rows, valid_frac, seed)
-    tags = {}
-    for i, rid in enumerate(family.ids):
-        tags[rid] = "train" if i in train else "valid" if i in valid else "test"
+    tags = _carve_validation(family, pool_rows, valid_frac, seed)
     if not any(t == "test" for t in tags.values()):
         warnings.warn(f"lambda={lam} leaves the test set empty", stacklevel=2)
     return SplitAssignment(
@@ -313,10 +307,7 @@ def split_low_vs_high(
     pool_rows = [i for i in range(family.m) if y[i] <= wt_y]
     if not pool_rows:
         raise SplitError("all targets above wild-type: empty train pool")
-    train, valid = _carve_validation(family, pool_rows, valid_frac, seed)
-    tags = {}
-    for i, rid in enumerate(family.ids):
-        tags[rid] = "train" if i in train else "valid" if i in valid else "test"
+    tags = _carve_validation(family, pool_rows, valid_frac, seed)
     if not any(t == "test" for t in tags.values()):
         warnings.warn("no target above the wild-type's: test set empty", stacklevel=2)
     return SplitAssignment(
@@ -347,15 +338,6 @@ class Graph:
         if self.edges.size:
             a[self.edges[:, 0], self.edges[:, 1]] = 1.0
         return a
-
-    def degree(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(deg, self.edges[:, 0], 1)
-        return deg
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.edges}
 
 
 def pairwise_hamming(encoded: np.ndarray, block: int = 256) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Initial protein- and residue-level embeddings, plus the sidecar loader.
+"""Initial protein- and residue-level embeddings, plus the sidecar loaders.
 
 Residues are embedded by a learned 20 x d projection of their indicator
 vector; positions modulate embeddings multiplicatively via a learned N x d
@@ -32,17 +32,18 @@ def init_positional_table(n: int, d: int, rng: np.random.Generator) -> np.ndarra
     return rng.normal(PHI_POS_INIT_MEAN, PHI_POS_INIT_STD, size=(n, d))
 
 
-def onehot_residues(family: Family, projection: ad.Tensor) -> ad.Tensor:
+def onehot_residues(encoded: np.ndarray, projection: ad.Tensor) -> ad.Tensor:
     """Project each residue's 20-dim indicator through a learned map.
 
-    Returns an M x N x d tensor; equal residues at any positions map to
-    identical vectors before positional encoding.
+    ``encoded`` is a rows x N uint8 matrix of alphabet indices; returns a
+    rows x N x d tensor. Equal residues at any positions map to identical
+    vectors before positional encoding.
     """
     if projection.shape[0] != len(ALPHABET):
         raise ValueError(
             f"projection must have {len(ALPHABET)} rows, got {projection.shape[0]}"
         )
-    return ad.take_rows(projection, family.encoded)
+    return ad.take_rows(projection, encoded)
 
 
 def apply_positional(x: ad.Tensor, phi_pos: ad.Tensor) -> ad.Tensor:
@@ -55,26 +56,27 @@ def apply_positional(x: ad.Tensor, phi_pos: ad.Tensor) -> ad.Tensor:
 
 
 def init_protein_embeddings(
-    family: Family,
+    encoded: np.ndarray,
     mode: str,
     projection: ad.Tensor | None = None,
     precomputed: np.ndarray | None = None,
 ) -> ad.Tensor:
-    """Initial M x d protein embeddings.
+    """Initial rows x d protein embeddings for a rows x N encoded matrix.
 
     ``onehot-mean`` averages a learned per-residue projection over positions;
-    ``sidecar`` uses a precomputed matrix aligned to the family order.
+    ``sidecar`` uses a precomputed matrix with one row per encoded row.
     """
     if mode == "onehot-mean":
         if projection is None:
-            raise ValueError("onehot-mean mode needs a projection")
-        return ad.mean_over(ad.take_rows(projection, family.encoded), axis=1)
+            raise ValueError("protein_mode=onehot-mean requires a projection")
+        return ad.mean_over(onehot_residues(encoded, projection), axis=1)
     if mode == "sidecar":
         if precomputed is None:
-            raise ValueError("sidecar mode needs a precomputed matrix")
-        if precomputed.shape[0] != family.m:
+            raise ValueError("protein_mode=sidecar requires protein features")
+        if precomputed.shape[0] != encoded.shape[0]:
             raise SidecarError(
-                f"sidecar has {precomputed.shape[0]} rows, family has {family.m}"
+                f"sidecar has {precomputed.shape[0]} rows, "
+                f"expected {encoded.shape[0]}"
             )
         return ad.constant(precomputed)
     raise ValueError(f"unknown protein embedding mode {mode!r}")
@@ -190,37 +192,23 @@ def _read_sidecar(path, values_per_record: int) -> tuple[dict[str, np.ndarray], 
     return _read_sidecar_json(path, values_per_record)
 
 
-def load_protein_sidecar(path, family: Family, expected_dim: int) -> np.ndarray:
-    """Load per-protein embeddings aligned to the family record order."""
-    table, dim = _read_sidecar(path, values_per_record=1)
+def _load_aligned(path, family: Family, expected_dim: int, per_record: int) -> np.ndarray:
+    """Sidecar payloads stacked in family record order: M x (per_record * dim)."""
+    table, dim = _read_sidecar(path, values_per_record=per_record)
     if dim != expected_dim:
         raise SidecarError(f"{path}: dimension {dim} != model dimension {expected_dim}")
-    rows = []
     for rid in family.ids:
         if rid not in table:
             raise SidecarError(f"{path}: missing id {rid!r}")
-        rows.append(table[rid])
-    return np.stack(rows).astype(np.float64)
+    return np.stack([table[rid] for rid in family.ids]).astype(np.float64)
+
+
+def load_protein_sidecar(path, family: Family, expected_dim: int) -> np.ndarray:
+    """Load per-protein embeddings (M x d) aligned to the family record order."""
+    return _load_aligned(path, family, expected_dim, per_record=1)
 
 
 def load_residue_sidecar(path, family: Family, expected_dim: int) -> np.ndarray:
     """Load per-residue embeddings (M x N x d) aligned to the family order."""
-    table, dim = _read_sidecar(path, values_per_record=family.n)
-    if dim != expected_dim:
-        raise SidecarError(f"{path}: dimension {dim} != model dimension {expected_dim}")
-    rows = []
-    for rid in family.ids:
-        if rid not in table:
-            raise SidecarError(f"{path}: missing id {rid!r}")
-        rows.append(table[rid].reshape(family.n, dim))
-    return np.stack(rows).astype(np.float64)
-
-
-def load_precomputed(
-    protein_path, residue_path, family: Family, expected_dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Load both sidecars, id-aligned to the family."""
-    return (
-        load_protein_sidecar(protein_path, family, expected_dim),
-        load_residue_sidecar(residue_path, family, expected_dim),
-    )
+    flat = _load_aligned(path, family, expected_dim, per_record=family.n)
+    return flat.reshape(family.m, family.n, expected_dim)

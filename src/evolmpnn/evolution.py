@@ -165,29 +165,6 @@ def membership_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Reference per-anchor operations (plain numpy, used directly and in tests)
-# ---------------------------------------------------------------------------
-
-
-def evolution_diff(residues_i: np.ndarray, member_residues: np.ndarray) -> np.ndarray:
-    """Mean-pooled residue difference between protein i and an anchor set.
-
-    ``residues_i`` is (N, d); ``member_residues`` is (|S|, N, d). The pooled
-    difference lands in R^d.
-    """
-    anchor = np.asarray(member_residues).mean(axis=0)
-    return (np.asarray(residues_i) - anchor).mean(axis=0)
-
-
-def anchor_message(h_anchor: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Elementwise product of the anchor embedding with the difference."""
-    h_anchor, diff = np.asarray(h_anchor), np.asarray(diff)
-    if h_anchor.shape != diff.shape:
-        raise ValueError(f"shape mismatch: {h_anchor.shape} vs {diff.shape}")
-    return h_anchor * diff
-
-
-# ---------------------------------------------------------------------------
 # Differentiable layers
 # ---------------------------------------------------------------------------
 

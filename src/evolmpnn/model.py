@@ -15,13 +15,18 @@ variants are transductive and always compute over every record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import ALPHABET, Family, Graph
-from .embeddings import init_positional_table
+from .embeddings import (
+    apply_positional,
+    init_positional_table,
+    init_protein_embeddings,
+    onehot_residues,
+)
 from .evolution import (
     AnchorPolicy,
     membership_matrix,
@@ -34,6 +39,38 @@ from .residue_encoder import NumericsError, attention_layer
 
 VARIANTS = ("evolmpnn", "evolgnn", "evolformer")
 DTYPES = {"float32": np.float32, "float64": np.float64}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": (
+        "a finite number",
+        lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
+    ),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(config) -> None:
+    """Reject config values that do not match their field's annotation.
+
+    Annotations are read as written (``int``, ``float``, ``bool`` or
+    ``str``, optionally ``| None``): ints pass as floats, bools pass only as
+    bools, and floats must be finite.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional:
+            continue
+        description, accepts = _FIELD_KINDS[kind]
+        if not accepts(value):
+            raise ValueError(f"{f.name} must be {description}, got {value!r}")
 
 
 @dataclass
@@ -57,6 +94,7 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.d_head is None:
@@ -66,6 +104,8 @@ class ModelConfig:
         for name in ("d", "heads", "d_head", "ffn_dim", "l_r", "l_p", "theta", "knn_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.anchor_k is not None and self.anchor_k < 1:
+            raise ValueError("anchor_k must be positive when set")
         if self.residue_mode not in ("onehot", "sidecar"):
             raise ValueError(f"unknown residue_mode {self.residue_mode!r}")
         if self.protein_mode not in ("onehot-mean", "sidecar"):
@@ -83,23 +123,7 @@ class ModelConfig:
         )
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "d": self.d,
-            "heads": self.heads,
-            "d_head": self.d_head,
-            "ffn_dim": self.ffn_dim,
-            "l_r": self.l_r,
-            "l_p": self.l_p,
-            "theta": self.theta,
-            "anchor_k": self.anchor_k,
-            "anchor_seed": self.anchor_seed,
-            "resample_anchors": self.resample_anchors,
-            "knn_k": self.knn_k,
-            "residue_mode": self.residue_mode,
-            "protein_mode": self.protein_mode,
-            "dtype": self.dtype,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelConfig":
@@ -121,12 +145,6 @@ class ModelParams:
         return ModelParams(
             {k: v.copy() for k, v in self.tensors.items()},
             {k: v.copy() for k, v in self.buffers.items()},
-        )
-
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(
-            {k: v.astype(dtype) for k, v in self.tensors.items()},
-            {k: v.astype(dtype) for k, v in self.buffers.items()},
         )
 
     def check_finite(self) -> None:
@@ -242,17 +260,15 @@ def build_forward(
     }
     requested = list(range(family.m)) if rows is None else [int(r) for r in rows]
 
-    pool_ids = list(train_ids) if train_ids is not None else list(family.ids)
-    wild_id = family.wild_type.id
-    anchor_sets_per_layer = []
     if config.variant == "evolmpnn":
+        pool_ids = list(train_ids) if train_ids is not None else list(family.ids)
         policy = config.anchor_policy()
-        for layer in range(config.l_p):
-            anchor_sets_per_layer.append(
-                sample_anchor_sets(
-                    pool_ids, policy, layer, draw=anchor_draw, fallback_id=wild_id
-                )
+        anchor_sets_per_layer = [
+            sample_anchor_sets(
+                pool_ids, policy, layer, draw=anchor_draw, fallback_id=family.wild_type.id
             )
+            for layer in range(config.l_p)
+        ]
         member_rows = {
             family.index_of(rid)
             for sets in anchor_sets_per_layer
@@ -260,45 +276,41 @@ def build_forward(
             for rid in s.member_ids
         }
         active = sorted(set(requested) | member_rows)
+        position_of = {family.ids[row]: i for i, row in enumerate(active)}
     else:
         if config.variant == "evolgnn" and graph is None:
             raise ValueError("evolgnn requires a graph over the family")
         active = list(range(family.m))
-    position_of = {row: i for i, row in enumerate(active)}
     encoded = family.encoded[active]
 
     # Residue embeddings, positionally modulated, then the attention stack.
     if config.residue_mode == "onehot":
-        x = ad.take_rows(leaves["residue_embed"], encoded)
+        x = onehot_residues(encoded, leaves["residue_embed"])
     else:
         if residue_feats is None:
             raise ValueError("residue_mode=sidecar requires residue features")
         x = ad.constant(residue_feats[active].astype(dtype, copy=False))
-    x = ad.mul(x, leaves["phi_pos"])
-    r = x
+    r = apply_positional(x, leaves["phi_pos"])
     for layer in range(config.l_r):
         r = attention_layer(
             r, leaves, f"res{layer}", config.heads, label=f"residue layer {layer}"
         )
     r_bar = ad.mean_over(r, axis=1)
 
-    if config.protein_mode == "onehot-mean":
-        h = ad.mean_over(ad.take_rows(leaves["protein_embed"], encoded), axis=1)
-    else:
-        if protein_feats is None:
-            raise ValueError("protein_mode=sidecar requires protein features")
-        h = ad.constant(protein_feats[active].astype(dtype, copy=False))
+    h = init_protein_embeddings(
+        encoded,
+        config.protein_mode,
+        projection=leaves.get("protein_embed"),
+        precomputed=(
+            None if protein_feats is None else protein_feats[active].astype(dtype, copy=False)
+        ),
+    )
 
     for layer in range(config.l_p):
         prefix = f"evo{layer}"
         if config.variant == "evolmpnn":
-            row_of = {
-                rid: position_of[family.index_of(rid)]
-                for s in anchor_sets_per_layer[layer]
-                for rid in s.member_ids
-            }
             members = membership_matrix(
-                anchor_sets_per_layer[layer], row_of, len(active), dtype=dtype
+                anchor_sets_per_layer[layer], position_of, len(active), dtype=dtype
             )
             h = evolmpnn_layer(h, r_bar, members, leaves[f"{prefix}.combine"])
         elif config.variant == "evolgnn":
@@ -315,7 +327,8 @@ def build_forward(
         if not np.all(np.isfinite(h.data)):
             raise NumericsError(f"non-finite activations after evolution layer {layer}")
 
-    keep = np.array([position_of[row] for row in requested], dtype=np.int64)
+    # ``active`` is sorted, so a requested row's position is its insertion point.
+    keep = np.searchsorted(active, requested)
     z_p = ad.take_rows(h, keep)
     z_r = ad.take_rows(r_bar, keep)
     z = ad.concat_last([z_p, z_r])
@@ -403,7 +416,7 @@ def gradient_check(
     params = init_params(config, family.n, seed)
     targets = family.targets
 
-    def build_loss() -> tuple[float, ForwardGraph]:
+    def build_loss() -> tuple[ad.Tensor, ForwardGraph]:
         fg = build_forward(
             family,
             params,
@@ -414,12 +427,10 @@ def gradient_check(
             protein_feats=protein_feats,
             residue_feats=residue_feats,
         )
-        loss = mse_loss(fg.y_hat, targets)
-        return float(loss.data), fg
+        return mse_loss(fg.y_hat, targets), fg
 
-    _, fg = build_loss()
-    loss_tensor = mse_loss(fg.y_hat, targets)
-    loss_tensor.backward()
+    loss, fg = build_loss()
+    loss.backward()
     analytic = fg.grads()
 
     rng = np.random.default_rng(seed + 1)
@@ -434,9 +445,9 @@ def gradient_check(
         for c in coords:
             original = flat[c]
             flat[c] = original + eps
-            hi, _ = build_loss()
+            hi = float(build_loss()[0].data)
             flat[c] = original - eps
-            lo, _ = build_loss()
+            lo = float(build_loss()[0].data)
             flat[c] = original
             numeric = (hi - lo) / (2 * eps)
             exact = analytic[name].reshape(-1)[c]

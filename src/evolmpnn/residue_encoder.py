@@ -58,29 +58,3 @@ def attention_layer(
     if not np.all(np.isfinite(out.data)):
         raise NumericsError(f"non-finite output in {label}")
     return out
-
-
-def attention_matrix(
-    x: np.ndarray, wq: np.ndarray, wk: np.ndarray, logit_bias: np.ndarray | None = None
-) -> np.ndarray:
-    """The row-stochastic attention matrix for one head (inference helper)."""
-    logits = (x @ wq) @ np.swapaxes(x @ wk, -1, -2) / math.sqrt(x.shape[-1])
-    if logit_bias is not None:
-        logits = logits + logit_bias
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def encode_residues(
-    x: ad.Tensor, params: dict[str, ad.Tensor], n_layers: int, n_heads: int
-) -> ad.Tensor:
-    """Apply the full layer stack; each protein is processed independently."""
-    if n_layers < 1:
-        raise ValueError("residue encoder needs at least one layer")
-    out = x
-    for layer in range(n_layers):
-        out = attention_layer(
-            out, params, f"res{layer}", n_heads, label=f"residue layer {layer}"
-        )
-    return out

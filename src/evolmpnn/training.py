@@ -11,13 +11,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import Family, Graph, SplitAssignment
 from .evaluation import spearman
-from .model import ModelConfig, ModelParams, build_forward, init_params, mse_loss
+from .model import (
+    ModelConfig,
+    ModelParams,
+    build_forward,
+    check_field_types,
+    init_params,
+    mse_loss,
+)
 from .residue_encoder import NumericsError
 
 
@@ -38,24 +45,20 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        check_field_types(self)
         if self.lr < 0:
             raise ValueError("learning rate must be >= 0")
         for name in ("epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "patience": self.patience,
-            "seed": self.seed,
-            "standardize_targets": self.standardize_targets,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
@@ -277,6 +280,4 @@ def train(
     if report.best_epoch < 0:
         # Validation rho never became defined; fall back to the last state.
         best_params = params.copy()
-    best_params.buffers["target_mean"] = mu
-    best_params.buffers["target_std"] = sigma
     return best_params, report

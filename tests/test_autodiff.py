@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,14 @@ class TestMatmul:
 
     def test_transpose_last(self):
         check_op(lambda t: ad.matmul(t[0], ad.transpose_last(t[1])), 2, [(3, 4), (5, 4)])
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (1, 5)), ((2, 3, 4), (3, 5))])
+    def test_inner_dimension_mismatch_names_shapes(self, shapes):
+        # einsum alone would broadcast a size-1 inner dimension into row sums.
+        a, b = (ad.constant(np.ones(s)) for s in shapes)
+        expected = re.escape(str(shapes[0])) + ".*" + re.escape(str(shapes[1]))
+        with pytest.raises(ValueError, match=expected):
+            ad.matmul(a, b)
 
 
 class TestReductionsAndShape:

@@ -49,8 +49,8 @@ def run_config_json(tmp_path, family, split, **model_kw):
     return path
 
 
-def make_dataset(tmp_path):
-    spec_path = landscape_json(tmp_path)
+def make_dataset(tmp_path, n=8):
+    spec_path = landscape_json(tmp_path, n=n)
     family_path = tmp_path / "family.csv"
     assert dispatch(["synth", "--config", str(spec_path), "--out", str(family_path)]) == 0
     split_path = tmp_path / "split.csv"
@@ -259,6 +259,26 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="unsupported format version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda t: t.pop("evo0.combine"), "missing tensor 'evo0.combine'"),
+            (lambda t: t.update(extra=np.zeros(3, np.float32)), "unexpected tensor 'extra'"),
+            (
+                lambda t: t.update(w_final=t["w_final"].reshape(1, -1)),
+                r"tensor 'w_final' has shape \[1, 8\], the model config needs \[8, 1\]",
+            ),
+        ],
+        ids=["missing", "extra", "wrong-shape"],
+    )
+    def test_tensors_checked_against_config(self, tmp_path, edit, message):
+        params, run = self.make_params()
+        edit(params.tensors)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, run, path)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
     def test_version_1_asks_for_retraining(self, tmp_path):
         # Anchors are recomputed at load time, so a model trained against the
         # old sampler's anchors must not silently evaluate against new ones.
@@ -338,6 +358,51 @@ class TestTrainEvalPipeline:
         err = json.loads(capsys.readouterr().err)
         assert "knn_k must be positive" in err["error"]
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("model", "d", "32"),
+            ("model", "heads", True),
+            ("model", "resample_anchors", "false"),
+            ("model", "anchor_k", 0),
+            ("train", "epochs", 2.5),
+            ("train", "lr", float("inf")),
+            ("train", "beta1", 1.0),
+            ("train", "eps", 0.0),
+        ],
+    )
+    def test_invalid_config_value_is_a_json_error(
+        self, tmp_path, capsys, section, key, value
+    ):
+        # Config validation fails before the data files are opened.
+        cfg = run_config_json(tmp_path, tmp_path / "family.csv", tmp_path / "split.csv")
+        doc = json.loads(cfg.read_text())
+        doc[section][key] = value
+        cfg.write_text(json.dumps(doc))
+        ckpt = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert dispatch(["train", "--config", str(cfg), "--out", str(ckpt)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"].startswith(f"{key} must be")
+        assert not ckpt.exists()
+
+    def test_eval_on_family_of_other_length(self, tmp_path, capsys):
+        family_path, split_path = make_dataset(tmp_path)
+        cfg = run_config_json(tmp_path, family_path, split_path)
+        ckpt = tmp_path / "model.ckpt"
+        assert dispatch(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        other = tmp_path / "other"
+        other.mkdir()
+        other_family, other_split = make_dataset(other, n=6)
+        capsys.readouterr()
+        code = dispatch(
+            ["eval", "--ckpt", str(ckpt), "--family", str(other_family)]
+            + ["--split", str(other_split)]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "positional table (8, 8) does not match residues (6, 8)" in err["error"]
 
     def test_distortion_reference(self, tmp_path, capsys):
         family_path, _ = make_dataset(tmp_path)

@@ -12,7 +12,6 @@ from evolmpnn.embeddings import (
     apply_positional,
     init_positional_table,
     init_protein_embeddings,
-    load_precomputed,
     load_protein_sidecar,
     load_residue_sidecar,
     onehot_residues,
@@ -32,12 +31,12 @@ def make_family(seqs):
 class TestOnehotResidues:
     def test_zero_projection_gives_zero(self):
         fam = make_family(["AC", "CA"])
-        out = onehot_residues(fam, ad.constant(np.zeros((20, 8))))
+        out = onehot_residues(fam.encoded, ad.constant(np.zeros((20, 8))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_identity_projection_recovers_indicator(self):
         fam = make_family(["AC", "CA"])
-        out = onehot_residues(fam, ad.constant(np.eye(20))).data
+        out = onehot_residues(fam.encoded, ad.constant(np.eye(20))).data
         for i, rec in enumerate(fam.records):
             for j, ch in enumerate(rec.sequence):
                 expected = np.zeros(20)
@@ -47,13 +46,13 @@ class TestOnehotResidues:
     def test_swapped_sequences_swap_rows(self):
         fam = make_family(["AC", "CA"])
         rng = np.random.default_rng(0)
-        out = onehot_residues(fam, ad.constant(rng.normal(size=(20, 4)))).data
+        out = onehot_residues(fam.encoded, ad.constant(rng.normal(size=(20, 4)))).data
         np.testing.assert_array_equal(out[0], out[1][::-1])
 
     def test_gradient_flows_to_projection(self):
         fam = make_family(["AC", "CA"])
         proj = ad.Tensor(np.zeros((20, 3)), requires_grad=True)
-        ad.sum_over(onehot_residues(fam, proj)).backward()
+        ad.sum_over(onehot_residues(fam.encoded, proj)).backward()
         # A and C each appear twice across the family.
         assert proj.grad[AA_INDEX["A"]].sum() == 2 * 3
         assert proj.grad[AA_INDEX["D"]].sum() == 0
@@ -79,7 +78,7 @@ class TestApplyPositional:
         fam = make_family(["AAC", "ACA"])
         rng = np.random.default_rng(3)
         phi = rng.normal(size=(3, 6))
-        x = onehot_residues(fam, ad.constant(rng.normal(size=(20, 6))))
+        x = onehot_residues(fam.encoded, ad.constant(rng.normal(size=(20, 6))))
         out = apply_positional(x, ad.constant(phi)).data
         # Same residue A at positions 0 and 1 now differs.
         assert not np.allclose(out[0, 0], out[0, 1])
@@ -108,7 +107,7 @@ class TestProteinEmbeddings:
         fam = make_family(["ACD", "ACD", "DDA"])
         rng = np.random.default_rng(6)
         out = init_protein_embeddings(
-            fam, "onehot-mean", projection=ad.constant(rng.normal(size=(20, 5)))
+            fam.encoded, "onehot-mean", projection=ad.constant(rng.normal(size=(20, 5)))
         ).data
         np.testing.assert_array_equal(out[0], out[1])
         # Different residue composition separates; the mean pools away order.
@@ -117,7 +116,7 @@ class TestProteinEmbeddings:
     def test_zero_projection(self):
         fam = make_family(["ACD", "DCA"])
         out = init_protein_embeddings(
-            fam, "onehot-mean", projection=ad.constant(np.zeros((20, 5)))
+            fam.encoded, "onehot-mean", projection=ad.constant(np.zeros((20, 5)))
         )
         np.testing.assert_array_equal(out.data, 0.0)
 
@@ -125,7 +124,9 @@ class TestProteinEmbeddings:
         fam = make_family(["AC", "CC"])
         rng = np.random.default_rng(7)
         proj = rng.normal(size=(20, 4))
-        out = init_protein_embeddings(fam, "onehot-mean", projection=ad.constant(proj)).data
+        out = init_protein_embeddings(
+            fam.encoded, "onehot-mean", projection=ad.constant(proj)
+        ).data
         np.testing.assert_allclose(
             out[0], (proj[AA_INDEX["A"]] + proj[AA_INDEX["C"]]) / 2, atol=1e-12
         )
@@ -133,12 +134,12 @@ class TestProteinEmbeddings:
     def test_sidecar_mode_checks_rows(self):
         fam = make_family(["AC", "CA"])
         with pytest.raises(SidecarError, match="rows"):
-            init_protein_embeddings(fam, "sidecar", precomputed=np.ones((3, 4)))
+            init_protein_embeddings(fam.encoded, "sidecar", precomputed=np.ones((3, 4)))
 
     def test_unknown_mode(self):
         fam = make_family(["AC", "CA"])
         with pytest.raises(ValueError, match="unknown protein embedding mode"):
-            init_protein_embeddings(fam, "plm")
+            init_protein_embeddings(fam.encoded, "plm")
 
 
 class TestSidecarIO:
@@ -202,14 +203,3 @@ class TestSidecarIO:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(SidecarError, match="truncated payload"):
             load_protein_sidecar(path, fam, expected_dim=2)
-
-    def test_load_both(self, tmp_path):
-        fam = make_family(["AC", "CA"])
-        rng = np.random.default_rng(10)
-        prot = rng.normal(size=(2, 4)).astype(np.float32)
-        res = rng.normal(size=(2, 2, 4)).astype(np.float32)
-        pp, rp = tmp_path / "p.bin", tmp_path / "r.json"
-        write_sidecar(pp, fam.ids, prot, fmt="binary")
-        write_sidecar(rp, fam.ids, res, fmt="json")
-        h, x = load_precomputed(pp, rp, fam, expected_dim=4)
-        assert h.shape == (2, 4) and x.shape == (2, 2, 4)

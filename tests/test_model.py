@@ -81,6 +81,10 @@ class TestForwardShapes:
         np.testing.assert_allclose(pred.y_hat[0], pred.y_hat[3], atol=1e-12)
         assert abs(pred.y_hat[0, 0] - pred.y_hat[2, 0]) > 1e-9
 
+    def test_at_least_one_residue_layer(self):
+        with pytest.raises(ValueError, match="l_r must be positive"):
+            tiny_config(l_r=0)
+
     def test_evolgnn_requires_graph(self):
         fam = tiny_family()
         config = tiny_config("evolgnn")
@@ -94,8 +98,9 @@ class TestAgainstStraightLineOracle:
         """Plain numpy recomputation of the whole pipeline (anchor variant)."""
         t = params.tensors
         enc = fam.encoded
-        x = t["residue_embed"][enc] * t["phi_pos"]
-        r = reference_layer(x, leaf_dict(params), "res0", config.heads)
+        r = t["residue_embed"][enc] * t["phi_pos"]
+        for layer in range(config.l_r):
+            r = reference_layer(r, leaf_dict(params), f"res{layer}", config.heads)
         r_bar = r.mean(axis=1)
         h = t["protein_embed"][enc].mean(axis=1)
         sets = sample_anchor_sets(
@@ -109,6 +114,15 @@ class TestAgainstStraightLineOracle:
     def test_forward_matches_oracle(self):
         fam = tiny_family()
         config = tiny_config()
+        params = init_params(config, fam.n, seed=7)
+        pred = forward(fam, params, config)
+        y_expected, z_expected = self.oracle(fam, params, config)
+        np.testing.assert_allclose(pred.y_hat, y_expected, atol=1e-11)
+        np.testing.assert_allclose(pred.z, z_expected, atol=1e-11)
+
+    def test_two_residue_layers_match_oracle(self):
+        fam = tiny_family()
+        config = tiny_config(l_r=2)
         params = init_params(config, fam.n, seed=7)
         pred = forward(fam, params, config)
         y_expected, z_expected = self.oracle(fam, params, config)

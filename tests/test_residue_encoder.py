@@ -12,8 +12,6 @@ from evolmpnn.residue_encoder import (
     LAYERNORM_EPS,
     NumericsError,
     attention_layer,
-    attention_matrix,
-    encode_residues,
 )
 
 
@@ -67,27 +65,6 @@ def reference_layer(x, params, prefix, n_heads):
     return norm * params[f"{prefix}.ln_gain"].data + params[f"{prefix}.ln_bias"].data
 
 
-class TestAttentionMatrix:
-    def test_single_position_attends_to_itself(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(1, 4))
-        att = attention_matrix(x, rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
-        np.testing.assert_allclose(att, [[1.0]])
-
-    def test_zero_queries_give_uniform_rows(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(5, 4))
-        att = attention_matrix(x, np.zeros((4, 2)), rng.normal(size=(4, 2)))
-        np.testing.assert_allclose(att, np.full((5, 5), 0.2), atol=1e-12)
-
-    def test_rows_are_probability_vectors(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(7, 6))
-        att = attention_matrix(x, rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
-        np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-6)
-        assert np.all(att >= 0)
-
-
 class TestAttentionLayer:
     def test_matches_straight_line_recomputation(self):
         rng = np.random.default_rng(3)
@@ -134,12 +111,14 @@ class TestAttentionLayer:
 
 
 class TestEncodeResidues:
+    """Each protein of a batch passes through the layer independently."""
+
     def test_identical_proteins_get_identical_rows(self):
         rng = np.random.default_rng(8)
         params = layer_params(4, 2, 2, 8, rng)
         x = rng.normal(size=(3, 5, 4))
         x[1] = x[0]
-        out = encode_residues(ad.constant(x), params, 1, 2).data
+        out = attention_layer(ad.constant(x), params, "res0", 2).data
         np.testing.assert_array_equal(out[0], out[1])
         assert not np.allclose(out[0], out[2])
 
@@ -148,21 +127,6 @@ class TestEncodeResidues:
         params = layer_params(4, 2, 2, 8, rng)
         x = rng.normal(size=(4, 3, 4))
         perm = np.array([2, 0, 3, 1])
-        out = encode_residues(ad.constant(x), params, 1, 2).data
-        out_perm = encode_residues(ad.constant(x[perm]), params, 1, 2).data
+        out = attention_layer(ad.constant(x), params, "res0", 2).data
+        out_perm = attention_layer(ad.constant(x[perm]), params, "res0", 2).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
-
-    def test_two_layer_stack_composes(self):
-        rng = np.random.default_rng(10)
-        params = {}
-        params.update(layer_params(4, 2, 2, 8, rng, prefix="res0"))
-        params.update(layer_params(4, 2, 2, 8, rng, prefix="res1"))
-        x = rng.normal(size=(2, 3, 4))
-        out = encode_residues(ad.constant(x), params, 2, 2).data
-        step1 = reference_layer(x, params, "res0", 2)
-        step2 = reference_layer(step1, params, "res1", 2)
-        np.testing.assert_allclose(out, step2, atol=1e-11)
-
-    def test_requires_at_least_one_layer(self):
-        with pytest.raises(ValueError, match="at least one layer"):
-            encode_residues(ad.constant(np.ones((1, 2, 2))), {}, 0, 1)
