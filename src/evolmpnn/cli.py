@@ -146,6 +146,11 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         raise CheckpointError(
             f"{path}: unsupported format version {manifest.get('format_version')}"
         )
+    for key in ("blob_bytes", "checksum", "tensors", "config"):
+        if key not in manifest:
+            raise CheckpointError(f"{path}: manifest has no {key!r}")
+    if "model" not in manifest["config"]:
+        raise CheckpointError(f"{path}: manifest has no 'config.model'")
     blob = raw[manifest_end:]
     if len(blob) != manifest["blob_bytes"]:
         raise CheckpointError(
@@ -173,7 +178,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         (tensors if entry["kind"] == "param" else buffers)[entry["name"]] = value
     _check_against_config(path, config, tensors, buffers)
     params = ModelParams(tensors, buffers)
-    params.check_finite()
+    try:
+        params.check_finite()
+    except ValueError as err:
+        raise CheckpointError(f"{path}: {err}") from err
     return params, manifest["config"]
 
 
@@ -210,17 +218,15 @@ def _load_inputs(config: ModelConfig, data: dict):
     family = load_family(data["family"])
     split = load_split(data["split"], family) if data.get("split") else None
     graph = knn_graph(family, config.knn_k) if config.variant == "evolgnn" else None
-    protein_feats = None
-    residue_feats = None
     if config.protein_mode == "sidecar":
         if not data.get("protein_sidecar"):
             raise ConfigError("protein_mode=sidecar needs data.protein_sidecar")
-        protein_feats = load_protein_sidecar(data["protein_sidecar"], family, config.d)
+        family.protein_feats = load_protein_sidecar(data["protein_sidecar"], family, config.d)
     if config.residue_mode == "sidecar":
         if not data.get("residue_sidecar"):
             raise ConfigError("residue_mode=sidecar needs data.residue_sidecar")
-        residue_feats = load_residue_sidecar(data["residue_sidecar"], family, config.d)
-    return family, split, graph, protein_feats, residue_feats
+        family.residue_feats = load_residue_sidecar(data["residue_sidecar"], family, config.d)
+    return family, split, graph
 
 
 def _write_json(doc: dict, out_path=None) -> None:
@@ -276,19 +282,10 @@ def cmd_train(args) -> int:
         raise ConfigError(f"invalid override: {err}") from err
     if not run["data"].get("family") or not run["data"].get("split"):
         raise ConfigError("train requires data.family and data.split")
-    family, split, graph, protein_feats, residue_feats = _load_inputs(
-        model_config, run["data"]
-    )
+    family, split, graph = _load_inputs(model_config, run["data"])
     log_path = args.log or str(args.out) + ".log.jsonl"
     params, report = train(
-        family,
-        split,
-        model_config,
-        train_config,
-        graph=graph,
-        protein_feats=protein_feats,
-        residue_feats=residue_feats,
-        log_path=log_path,
+        family, split, model_config, train_config, graph=graph, log_path=log_path
     )
     save_checkpoint(params, run_config_json(model_config, train_config, run["data"]), args.out)
     print(
@@ -327,7 +324,7 @@ def cmd_eval(args) -> int:
         data["split"] = args.split
     if not data.get("family") or not data.get("split"):
         raise ConfigError("eval needs --family/--split or paths in the checkpoint")
-    family, split, graph, protein_feats, residue_feats = _load_inputs(model_config, data)
+    family, split, graph = _load_inputs(model_config, data)
     metrics = evaluate(
         family,
         split,
@@ -336,8 +333,6 @@ def cmd_eval(args) -> int:
         tag=args.tag,
         group_edges=_parse_group_edges(args.group_edges),
         graph=graph,
-        protein_feats=protein_feats,
-        residue_feats=residue_feats,
     )
     print(json.dumps(metrics.to_json(), sort_keys=True))
     # File artifacts omit wall-clock so identical runs hash identically.
@@ -354,20 +349,14 @@ def cmd_distortion(args) -> int:
             data["family"] = args.family
         if not data.get("family"):
             raise ConfigError("distortion needs --family or a checkpoint data path")
-        data.setdefault("split", None)
-        family, split, graph, protein_feats, residue_feats = _load_inputs(
-            model_config, data
-        )
+        if model_config.variant == "evolmpnn" and not data.get("split"):
+            # Without a split every protein, test rows included, would be an anchor.
+            raise ConfigError(
+                "distortion of an evolmpnn checkpoint needs data.split in its run config"
+            )
+        family, split, graph = _load_inputs(model_config, data)
         train_ids = [family.ids[i] for i in split.rows(family, "train")] if split else None
-        pred = forward(
-            family,
-            params,
-            model_config,
-            train_ids=train_ids,
-            graph=graph,
-            protein_feats=protein_feats,
-            residue_feats=residue_feats,
-        )
+        pred = forward(family, params, model_config, train_ids=train_ids, graph=graph)
         report = distortion(pred.z, family)
     else:
         if not args.family:

@@ -40,9 +40,15 @@ class ProteinRecord:
 
 @dataclass
 class Family:
-    """An ordered set of equal-length mutants sharing one wild type."""
+    """An ordered set of equal-length mutants sharing one wild type.
+
+    ``protein_feats`` (M x d) and ``residue_feats`` (M x N x d) optionally
+    hold precomputed sidecar features, one row per record in record order.
+    """
 
     records: list[ProteinRecord]
+    protein_feats: np.ndarray | None = field(default=None, compare=False, repr=False)
+    residue_feats: np.ndarray | None = field(default=None, compare=False, repr=False)
     n: int = field(init=False)
     m: int = field(init=False)
     wild_type_index: int = field(init=False)
@@ -77,6 +83,10 @@ class Family:
             [[AA_INDEX[a] for a in r.sequence] for r in self.records], dtype=np.uint8
         )
         self._targets = np.array([r.target for r in self.records], dtype=np.float64)
+        for name, lead in (("protein_feats", (self.m,)), ("residue_feats", (self.m, self.n))):
+            feats = getattr(self, name)
+            if feats is not None and feats.shape[: len(lead)] != lead:
+                raise FamilyError(f"{name} has shape {feats.shape}, expected {lead} + (d,)")
 
     @property
     def ids(self) -> list[str]:
@@ -327,7 +337,6 @@ class Graph:
     n_nodes: int
     k: int
     edges: np.ndarray  # (E, 2) int array, both directions, no self loops
-    metric: str = "hamming"
 
     def __post_init__(self):
         if self.edges.size and (self.edges[:, 0] == self.edges[:, 1]).any():
@@ -352,31 +361,17 @@ def pairwise_hamming(encoded: np.ndarray, block: int = 256) -> np.ndarray:
     return out
 
 
-def knn_graph(
-    family: Family, k: int, metric: str = "hamming", features: np.ndarray | None = None
-) -> Graph:
-    """Directed K-NN under the metric, symmetrized by union.
+def knn_graph(family: Family, k: int) -> Graph:
+    """Directed K-NN under Hamming distance, symmetrized by union.
 
-    Distance ties break on ascending record index. ``features`` switches the
-    metric source to Euclidean distance over a precomputed M x f matrix.
+    Distance ties break on ascending record index.
     """
     m = family.m
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
     if k >= m:
         raise ValueError(f"K={k} must be smaller than the family size M={m}")
-    if features is not None:
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.shape[0] != m:
-            raise ValueError("feature matrix row count must equal family size")
-        sq = (feats**2).sum(axis=1)
-        dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2 * feats @ feats.T, 0.0))
-        metric_name = "euclidean-features"
-    elif metric == "hamming":
-        dist = pairwise_hamming(family.encoded).astype(np.float64)
-        metric_name = "hamming"
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    dist = pairwise_hamming(family.encoded).astype(np.float64)
     np.fill_diagonal(dist, np.inf)
     pairs: set[tuple[int, int]] = set()
     index = np.arange(m)
@@ -386,7 +381,7 @@ def knn_graph(
             pairs.add((i, int(j)))
             pairs.add((int(j), i))
     edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    return Graph(n_nodes=m, k=k, edges=edges, metric=metric_name)
+    return Graph(n_nodes=m, k=k, edges=edges)
 
 
 # ---------------------------------------------------------------------------

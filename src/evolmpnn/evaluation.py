@@ -69,8 +69,6 @@ def predict(
     rows=None,
     train_ids=None,
     graph: Graph | None = None,
-    protein_feats: np.ndarray | None = None,
-    residue_feats: np.ndarray | None = None,
 ) -> np.ndarray:
     """De-standardized model predictions for the requested rows."""
     pred = forward(
@@ -81,8 +79,6 @@ def predict(
         train_ids=train_ids,
         anchor_draw=0,
         graph=graph,
-        protein_feats=protein_feats,
-        residue_feats=residue_feats,
     )
     mu = params.buffers.get("target_mean", np.zeros(config.theta))
     sigma = params.buffers.get("target_std", np.ones(config.theta))
@@ -140,8 +136,6 @@ def evaluate(
     *,
     group_edges=None,
     graph: Graph | None = None,
-    protein_feats: np.ndarray | None = None,
-    residue_feats: np.ndarray | None = None,
 ) -> Metrics:
     """Model metrics on one split tag, on the raw target scale."""
     rows = split.rows(family, tag)
@@ -156,8 +150,6 @@ def evaluate(
         rows=rows,
         train_ids=train_ids,
         graph=graph,
-        protein_feats=protein_feats,
-        residue_feats=residue_feats,
     )[:, 0]
     runtime = time.perf_counter() - started
     targets = family.targets[rows, 0]
@@ -197,10 +189,9 @@ def distortion(
     family: Family | None = None,
     *,
     base_matrix: np.ndarray | None = None,
-    p: float = 2.0,
     metric: str = "hamming",
 ) -> DistortionReport:
-    """Scale-optimal distortion of an embedding against a base metric.
+    """Scale-optimal distortion of a Euclidean embedding against a base metric.
 
     alpha is the product of the worst expansion and the worst contraction
     over all pairs with positive base distance, which makes the measure
@@ -218,8 +209,8 @@ def distortion(
     m = base.shape[0]
     if emb.shape[0] != m:
         raise ValueError("embedding rows must match the metric space size")
-    diffs = np.abs(emb[:, None, :] - emb[None, :, :])
-    emb_dist = (diffs**p).sum(axis=2) ** (1.0 / p)
+    diffs = emb[:, None, :] - emb[None, :, :]
+    emb_dist = np.sqrt((diffs**2).sum(axis=2))
     iu, ju = np.triu_indices(m, k=1)
     keep = base[iu, ju] > 0
     f_base = base[iu, ju][keep]

@@ -148,9 +148,10 @@ class ModelParams:
         )
 
     def check_finite(self) -> None:
-        for name, value in self.tensors.items():
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"non-finite values in parameter {name!r}")
+        for kind, table in (("parameter", self.tensors), ("buffer", self.buffers)):
+            for name, value in table.items():
+                if not np.all(np.isfinite(value)):
+                    raise ValueError(f"non-finite values in {kind} {name!r}")
 
 
 def _xavier(rng, shape, dtype):
@@ -249,8 +250,6 @@ def build_forward(
     train_ids=None,
     anchor_draw: int = 0,
     graph: Graph | None = None,
-    protein_feats: np.ndarray | None = None,
-    residue_feats: np.ndarray | None = None,
 ) -> ForwardGraph:
     """Run the full pipeline, returning tensors for the requested rows."""
     dtype = config.np_dtype
@@ -287,9 +286,9 @@ def build_forward(
     if config.residue_mode == "onehot":
         x = onehot_residues(encoded, leaves["residue_embed"])
     else:
-        if residue_feats is None:
+        if family.residue_feats is None:
             raise ValueError("residue_mode=sidecar requires residue features")
-        x = ad.constant(residue_feats[active].astype(dtype, copy=False))
+        x = ad.constant(family.residue_feats[active].astype(dtype, copy=False))
     r = apply_positional(x, leaves["phi_pos"])
     for layer in range(config.l_r):
         r = attention_layer(
@@ -297,13 +296,12 @@ def build_forward(
         )
     r_bar = ad.mean_over(r, axis=1)
 
+    feats = family.protein_feats
     h = init_protein_embeddings(
         encoded,
         config.protein_mode,
         projection=leaves.get("protein_embed"),
-        precomputed=(
-            None if protein_feats is None else protein_feats[active].astype(dtype, copy=False)
-        ),
+        precomputed=None if feats is None else feats[active].astype(dtype, copy=False),
     )
 
     for layer in range(config.l_p):
@@ -347,8 +345,6 @@ def forward(
     train_ids=None,
     anchor_draw: int = 0,
     graph: Graph | None = None,
-    protein_feats: np.ndarray | None = None,
-    residue_feats: np.ndarray | None = None,
 ) -> Prediction:
     """Inference-only forward pass returning plain arrays."""
     fg = build_forward(
@@ -359,8 +355,6 @@ def forward(
         train_ids=train_ids,
         anchor_draw=anchor_draw,
         graph=graph,
-        protein_feats=protein_feats,
-        residue_feats=residue_feats,
     )
     return Prediction(
         y_hat=fg.y_hat.data,
@@ -401,8 +395,6 @@ def gradient_check(
     coords_per_tensor: int = 8,
     train_ids=None,
     graph: Graph | None = None,
-    protein_feats: np.ndarray | None = None,
-    residue_feats: np.ndarray | None = None,
     only: list[str] | None = None,
 ) -> GradientCheckReport:
     """Compare analytic gradients with central finite differences.
@@ -424,8 +416,6 @@ def gradient_check(
             train_ids=train_ids,
             anchor_draw=0,
             graph=graph,
-            protein_feats=protein_feats,
-            residue_feats=residue_feats,
         )
         return mse_loss(fg.y_hat, targets), fg
 

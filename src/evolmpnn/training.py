@@ -157,8 +157,6 @@ def train(
     train_config: TrainConfig,
     *,
     graph: Graph | None = None,
-    protein_feats: np.ndarray | None = None,
-    residue_feats: np.ndarray | None = None,
     log_path=None,
 ) -> tuple[ModelParams, TrainReport]:
     """Fit the model, returning the best-validation-epoch parameters."""
@@ -216,8 +214,6 @@ def train(
                         train_ids=train_ids,
                         anchor_draw=draw,
                         graph=graph,
-                        protein_feats=protein_feats,
-                        residue_feats=residue_feats,
                     )
                     loss = mse_loss(fg.y_hat, y_std[batch])
                 except NumericsError as err:
@@ -243,8 +239,6 @@ def train(
                     train_ids=train_ids,
                     anchor_draw=0,
                     graph=graph,
-                    protein_feats=protein_feats,
-                    residue_feats=residue_feats,
                 )
             except NumericsError as err:
                 raise TrainingError(

@@ -17,6 +17,7 @@ from evolmpnn.cli import (
     save_checkpoint,
 )
 from evolmpnn.data import LandscapeSpec, load_family, load_split, synth_family
+from evolmpnn.embeddings import write_sidecar
 from evolmpnn.model import ModelConfig, init_params
 
 
@@ -243,20 +244,42 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_checkpoint(path)
 
-    def write_with_version(self, path, version):
+    def write_edited(self, path, edit):
+        """Save a checkpoint, then rewrite its manifest through ``edit``."""
         params, run = self.make_params()
         save_checkpoint(params, run, path)
         raw = path.read_bytes()
         (mlen,) = struct.unpack_from("<I", raw, 4)
         manifest = json.loads(raw[8 : 8 + mlen])
-        manifest["format_version"] = version
+        edit(manifest)
         edited = json.dumps(manifest, sort_keys=True).encode()
         path.write_bytes(raw[:4] + struct.pack("<I", len(edited)) + edited + raw[8 + mlen :])
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        self.write_with_version(path, 99)
+        self.write_edited(path, lambda m: m.update(format_version=99))
         with pytest.raises(CheckpointError, match="unsupported format version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key", ["blob_bytes", "checksum", "tensors", "config", "config.model"]
+    )
+    def test_missing_manifest_key_is_named(self, tmp_path, key):
+        def drop(manifest):
+            owner = manifest["config"] if key == "config.model" else manifest
+            del owner[key.rpartition(".")[2]]
+
+        path = tmp_path / "model.ckpt"
+        self.write_edited(path, drop)
+        with pytest.raises(CheckpointError, match=f"manifest has no '{key}'"):
+            load_checkpoint(path)
+
+    def test_non_finite_buffer_is_named(self, tmp_path):
+        params, run = self.make_params()
+        params.buffers["target_std"][:] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, run, path)
+        with pytest.raises(CheckpointError, match="non-finite values in buffer 'target_std'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -283,7 +306,7 @@ class TestCheckpoints:
         # Anchors are recomputed at load time, so a model trained against the
         # old sampler's anchors must not silently evaluate against new ones.
         path = tmp_path / "model.ckpt"
-        self.write_with_version(path, 1)
+        self.write_edited(path, lambda m: m.update(format_version=1))
         with pytest.raises(CheckpointError, match="old anchor sampler.*retrain"):
             load_checkpoint(path)
 
@@ -422,3 +445,40 @@ class TestTrainEvalPipeline:
         assert dispatch(["distortion", "--ckpt", str(ckpt)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pairs"] > 0
+
+    @pytest.mark.parametrize("variant,code", [("evolmpnn", 1), ("evolformer", 0)])
+    def test_distortion_without_split(self, tmp_path, capsys, variant, code):
+        # Anchors come from the training rows; the transductive variants use none.
+        family_path, _ = make_dataset(tmp_path)
+        config = ModelConfig(variant=variant, d=8, heads=2, l_r=1, l_p=1)
+        run = {"model": config.to_json(), "train": {}, "data": {"family": str(family_path)}}
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(config, n_positions=8), run, ckpt)
+        capsys.readouterr()
+        assert dispatch(["distortion", "--ckpt", str(ckpt)]) == code
+        if code:
+            err = json.loads(capsys.readouterr().err)
+            assert "needs data.split" in err["error"]
+
+    def test_sidecar_modes_train_eval_and_distortion(self, tmp_path, capsys):
+        family_path, split_path = make_dataset(tmp_path)
+        fam = load_family(family_path)
+        rng = np.random.default_rng(4)
+        write_sidecar(tmp_path / "protein.evsc", fam.ids, rng.normal(size=(fam.m, 8)))
+        write_sidecar(
+            tmp_path / "residue.json", fam.ids, rng.normal(size=(fam.m, fam.n, 8)), fmt="json"
+        )
+        cfg = run_config_json(
+            tmp_path, family_path, split_path, protein_mode="sidecar", residue_mode="sidecar"
+        )
+        doc = json.loads(cfg.read_text())
+        doc["data"].update(protein_sidecar="protein.evsc", residue_sidecar="residue.json")
+        cfg.write_text(json.dumps(doc))
+        ckpt = tmp_path / "model.ckpt"
+        assert dispatch(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert dispatch(["eval", "--ckpt", str(ckpt)]) == 0
+        metrics = json.loads(capsys.readouterr().out)
+        assert np.isfinite(metrics["spearman"]) and np.isfinite(metrics["mse"])
+        assert dispatch(["distortion", "--ckpt", str(ckpt)]) == 0
+        assert json.loads(capsys.readouterr().out)["pairs"] > 0

@@ -92,6 +92,15 @@ class TestLoadFamily:
         with pytest.raises(FamilyError, match="expected header"):
             load_family(p)
 
+    def test_sidecar_features_must_match_family(self):
+        records = make_family(["AC", "CA", "CC"]).records
+        with pytest.raises(FamilyError, match="protein_feats"):
+            Family(records, protein_feats=np.zeros((2, 4)))
+        with pytest.raises(FamilyError, match="residue_feats"):
+            Family(records, residue_feats=np.zeros((3, 3, 4)))
+        fam = Family(records, np.zeros((3, 4)), np.zeros((3, 2, 4)))
+        assert fam == Family(records)  # features take no part in equality
+
     def test_round_trip(self, tmp_path):
         fam = make_family(["ACDE", "ACDF", "GCDE"], [1.25, -0.5, 3.0])
         out = tmp_path / "round.csv"
@@ -291,13 +300,6 @@ class TestKnnGraph:
         shuffled = list(records)
         rng.shuffle(shuffled)
         assert id_edges(records) == id_edges(shuffled)
-
-    def test_feature_hook(self):
-        fam = make_family(["AA", "AC", "CA", "CC"])
-        feats = np.array([[0.0], [0.1], [5.0], [5.1]])
-        g = knn_graph(fam, k=1, features=feats)
-        assert edge_set(g) == {(0, 1), (1, 0), (2, 3), (3, 2)}
-        assert g.metric == "euclidean-features"
 
 
 def zero_spec(**kw):

@@ -195,10 +195,10 @@ class TestSidecarModes:
         rng = np.random.default_rng(10)
         prot = rng.normal(size=(fam.m, config.d))
         res = rng.normal(size=(fam.m, fam.n, config.d))
-        pred = forward(fam, params, config, protein_feats=prot, residue_feats=res)
+        pred = forward(Family(fam.records, prot, res), params, config)
         assert pred.y_hat.shape == (fam.m, 1)
         with pytest.raises(ValueError, match="sidecar requires"):
-            forward(fam, params, config, protein_feats=prot)
+            forward(Family(fam.records, prot), params, config)
 
     def test_sidecar_params_have_no_embeddings(self):
         config = tiny_config(residue_mode="sidecar", protein_mode="sidecar")

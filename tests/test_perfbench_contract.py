@@ -1,0 +1,54 @@
+"""The benchmark's tracer still finds and times the package's layers.
+
+``perfbench/tracer.py`` wraps functions by module attribute name from
+outside the package; a rename inside the package would silently zero its
+per-layer counters. This runs its ``Tracer`` around one training epoch.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from evolmpnn import training
+from evolmpnn.data import LandscapeSpec, split_lambda_vs_rest, synth_family
+from evolmpnn.model import ModelConfig
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_training_layers(monkeypatch):
+    rng = np.random.default_rng(5)
+    spec = LandscapeSpec(
+        n=6, m=32, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=5
+    )
+    fam = synth_family(spec).family
+    split = split_lambda_vs_rest(fam, lam=2, valid_frac=0.2, seed=0)
+    config = ModelConfig(variant="evolmpnn", d=8, heads=2, l_r=1, l_p=1)
+    original = training.train
+    tracer = load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        training.train(fam, split, config, training.TrainConfig(epochs=1, batch_size=8))
+    finally:
+        tracer.uninstall()
+    assert training.train is original
+    metrics = tracer.per_layer()
+    for name in (
+        "model.forward_calls",
+        "residue_encoder.attention_calls",
+        "evolution.sample_calls",
+    ):
+        assert metrics[name] > 0, name
