@@ -27,6 +27,7 @@ __all__ = [
     "sigmoid",
     "normalize_last",
     "take_rows",
+    "neighbor_sum",
 ]
 
 
@@ -303,6 +304,37 @@ def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             np.add.at(full, index, g)
+            a._accumulate(full)
+
+    return _result(data, (a,), backward)
+
+
+def _add_rows_at(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``out[rows[e]] += values[e]`` for each e in turn, on a C-ordered 2-D
+    ``out``. The flat element index takes numpy's 1-D ``ufunc.at`` loop,
+    which is about three times faster than indexing whole rows."""
+    width = out.shape[1]
+    flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, values.reshape(-1))
+
+
+def neighbor_sum(a: Tensor, dst: np.ndarray, src: np.ndarray) -> Tensor:
+    """Edge-list message sum over an (M, d) tensor: row i of the output adds
+    ``a[j]`` over the edges (i, j), given as parallel index arrays ``dst``
+    and ``src``.
+
+    This is the product with the 0/1 matrix that has a one at each edge, in
+    O(E * d). With the edges in lexicographic (dst, src) order, forward and
+    backward add each output's terms in ascending order of the summed index,
+    as the einsum in ``matmul`` does, so results are bitwise equal to it.
+    """
+    data = np.zeros(a.data.shape, dtype=a.data.dtype)
+    _add_rows_at(data, dst, a.data[src])
+
+    def backward(g):
+        if a.requires_grad:
+            full = np.zeros(a.data.shape, dtype=a.data.dtype)
+            _add_rows_at(full, src, g[dst])
             a._accumulate(full)
 
     return _result(data, (a,), backward)

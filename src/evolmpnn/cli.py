@@ -137,6 +137,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if manifest_end > len(raw):
         raise CheckpointError(f"{path}: truncated manifest")
     manifest = json.loads(raw[8:manifest_end].decode("utf-8"))
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("format_version") == 1:
         raise CheckpointError(
             f"{path}: format version 1 was written by the old anchor sampler, "
@@ -149,8 +151,12 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     for key in ("blob_bytes", "checksum", "tensors", "config"):
         if key not in manifest:
             raise CheckpointError(f"{path}: manifest has no {key!r}")
-    if "model" not in manifest["config"]:
-        raise CheckpointError(f"{path}: manifest has no 'config.model'")
+    if not isinstance(manifest["config"], dict) or not isinstance(
+        manifest["config"].get("model"), dict
+    ):
+        raise CheckpointError(f"{path}: manifest has no 'config.model' object")
+    if not isinstance(manifest["tensors"], list):
+        raise CheckpointError(f"{path}: manifest 'tensors' is not a list")
     blob = raw[manifest_end:]
     if len(blob) != manifest["blob_bytes"]:
         raise CheckpointError(
@@ -164,6 +170,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     config = ModelConfig.from_json(model_doc)
     tensors: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
+    for i, entry in enumerate(entries):
+        _check_entry(path, i, entry)
     for i, entry in enumerate(entries):
         start = entry["offset"]
         end = entries[i + 1]["offset"] if i + 1 < len(entries) else len(blob)
@@ -183,6 +191,32 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from err
     return params, manifest["config"]
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+_ENTRY_FIELDS = {
+    "name": lambda v: isinstance(v, str),
+    "kind": lambda v: v in ("param", "buffer"),
+    "shape": lambda v: isinstance(v, list) and all(_is_count(s) for s in v),
+    "offset": _is_count,
+}
+
+
+def _check_entry(path, i: int, entry) -> None:
+    """A tensor entry gives its name, kind, shape and offset into the blob."""
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"{path}: tensor entry {i} is not a JSON object")
+    label = f"tensor entry {i}"
+    if isinstance(entry.get("name"), str):
+        label += f" ({entry['name']!r})"
+    for key, valid in _ENTRY_FIELDS.items():
+        if key not in entry:
+            raise CheckpointError(f"{path}: {label} has no {key!r}")
+        if not valid(entry[key]):
+            raise CheckpointError(f"{path}: {label} has an invalid {key!r}: {entry[key]!r}")
 
 
 def _check_against_config(path, config: ModelConfig, tensors: dict, buffers: dict) -> None:

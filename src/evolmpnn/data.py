@@ -332,21 +332,44 @@ def split_low_vs_high(
 
 @dataclass
 class Graph:
-    """Union-symmetrized K-NN adjacency with unit edge weights."""
+    """Union-symmetrized K-NN graph with unit edge weights, as an edge list.
+
+    ``edges`` is an (E, 2) integer array of (i, j) pairs, node i receiving
+    from node j, stored as int64. It holds both directions of every neighbor
+    pair, indices in [0, n_nodes), no self-loops and no duplicates, in
+    lexicographic order: message sums add each node's terms in that order.
+    """
 
     n_nodes: int
     k: int
-    edges: np.ndarray  # (E, 2) int array, both directions, no self loops
+    edges: np.ndarray
 
     def __post_init__(self):
-        if self.edges.size and (self.edges[:, 0] == self.edges[:, 1]).any():
+        e = self.edges
+        if not isinstance(e, np.ndarray):
+            raise ValueError(f"edges must be an (E, 2) integer array, got {type(e).__name__}")
+        if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+            raise ValueError(f"edges must be an (E, 2) integer array, got {e.shape} {e.dtype}")
+        self.edges = e = e.astype(np.int64, copy=False)
+        if e.size and (e.min() < 0 or e.max() >= self.n_nodes):
+            raise ValueError(f"edge index out of range [0, {self.n_nodes})")
+        if (e[:, 0] == e[:, 1]).any():
             raise ValueError("graph contains self-loops")
+        step = np.diff(np.ravel_multi_index(e.T, (self.n_nodes, self.n_nodes)))
+        if (step == 0).any():
+            raise ValueError("graph contains duplicate edges")
+        if (step < 0).any():
+            raise ValueError("edges must be in lexicographic order")
 
-    def dense(self, dtype=np.float64) -> np.ndarray:
-        a = np.zeros((self.n_nodes, self.n_nodes), dtype=dtype)
-        if self.edges.size:
-            a[self.edges[:, 0], self.edges[:, 1]] = 1.0
-        return a
+
+# Bytes per block of K-NN rows: an M x N bool comparison plus three M-long
+# int64 rows (distances, keys, partition) per row.
+_KNN_BLOCK_BYTES = 64 << 20
+
+
+def _hamming_rows(encoded: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Hamming distances from rows start..stop-1 to every row."""
+    return (encoded[start:stop, None, :] != encoded[None, :, :]).sum(axis=2)
 
 
 def pairwise_hamming(encoded: np.ndarray, block: int = 256) -> np.ndarray:
@@ -355,33 +378,33 @@ def pairwise_hamming(encoded: np.ndarray, block: int = 256) -> np.ndarray:
     out = np.zeros((m, m), dtype=np.int32)
     for start in range(0, m, block):
         stop = min(start + block, m)
-        out[start:stop] = (encoded[start:stop, None, :] != encoded[None, :, :]).sum(
-            axis=2
-        )
+        out[start:stop] = _hamming_rows(encoded, start, stop)
     return out
 
 
 def knn_graph(family: Family, k: int) -> Graph:
     """Directed K-NN under Hamming distance, symmetrized by union.
 
-    Distance ties break on ascending record index.
+    Distance ties break on ascending record index. Distances are computed
+    for one block of rows at a time, so memory stays O(M * block).
     """
     m = family.m
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
     if k >= m:
         raise ValueError(f"K={k} must be smaller than the family size M={m}")
-    dist = pairwise_hamming(family.encoded).astype(np.float64)
-    np.fill_diagonal(dist, np.inf)
-    pairs: set[tuple[int, int]] = set()
+    block = max(1, _KNN_BLOCK_BYTES // (m * (family.n + 24)))
     index = np.arange(m)
-    for i in range(m):
-        order = np.lexsort((index, dist[i]))
-        for j in order[:k]:
-            pairs.add((i, int(j)))
-            pairs.add((int(j), i))
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    return Graph(n_nodes=m, k=k, edges=edges)
+    nearest = np.empty((m, k), dtype=np.int64)
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        # One key per candidate orders by distance, then by record index.
+        key = _hamming_rows(family.encoded, start, stop) * m + index
+        key[index[: stop - start], index[start:stop]] = np.iinfo(np.int64).max  # not self
+        nearest[start:stop] = np.argpartition(key, k - 1, axis=1)[:, :k]
+    rows, cols = np.repeat(index, k), nearest.reshape(-1)
+    pairs = np.stack([np.concatenate([rows, cols]), np.concatenate([cols, rows])], axis=1)
+    return Graph(n_nodes=m, k=k, edges=np.unique(pairs, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .data import Graph
 from .residue_encoder import attention_layer
 
 
@@ -194,28 +195,33 @@ def evolmpnn_layer(
 def evolgnn_layer(
     h: ad.Tensor,
     r_bar: ad.Tensor,
-    adjacency: np.ndarray,
+    graph: Graph,
     w_neighbor: ad.Tensor,
     w_gate: ad.Tensor,
     w_combine: ad.Tensor,
 ) -> ad.Tensor:
     """Graph message passing with residue-difference structure coefficients.
 
-    Neighbor messages sum A_ij * (H_j * (r_i - r_j)) W_n; the self path is
-    gated by sigmoid of the mean A_ij-weighted projected difference.
-    Isolated nodes get a zero neighbor message and a sigmoid(0) gate.
+    Neighbor messages sum H_j * (r_i - r_j) W_n over the edges (i, j); the
+    self path is gated by sigmoid of the mean projected difference over the
+    same edges. Isolated nodes get a zero neighbor message and a sigmoid(0)
+    gate. Every sum runs over the edge list, so time and memory are
+    O(E * d) for E edges, with no M x M matrix.
     """
-    dtype = h.data.dtype
-    a = ad.constant(adjacency.astype(dtype))
-    degree = (adjacency > 0).sum(axis=1).astype(dtype)
+    dst, src = graph.edges[:, 0], graph.edges[:, 1]
+    degree = np.bincount(dst, minlength=graph.n_nodes).astype(h.data.dtype)
     inv_degree = np.divide(1.0, degree, out=np.zeros_like(degree), where=degree > 0)
-    row_weight = adjacency.sum(axis=1).astype(dtype)
 
-    neighbor = ad.sub(ad.mul(ad.matmul(a, h), r_bar), ad.matmul(a, ad.mul(h, r_bar)))
+    neighbor = ad.sub(
+        ad.mul(ad.neighbor_sum(h, dst, src), r_bar),
+        ad.neighbor_sum(ad.mul(h, r_bar), dst, src),
+    )
     m_neighbor = ad.matmul(neighbor, w_neighbor)
 
     projected = ad.matmul(r_bar, w_gate)
-    gate_sum = ad.sub(ad.mul(projected, row_weight[:, None]), ad.matmul(a, projected))
+    gate_sum = ad.sub(
+        ad.mul(projected, degree[:, None]), ad.neighbor_sum(projected, dst, src)
+    )
     gate = ad.sigmoid(ad.mul(gate_sum, inv_degree[:, None]))
     m_self = ad.mul(gate, h)
     return ad.matmul(ad.concat_last([m_neighbor, m_self]), w_combine)

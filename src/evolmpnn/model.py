@@ -277,8 +277,13 @@ def build_forward(
         active = sorted(set(requested) | member_rows)
         position_of = {family.ids[row]: i for i, row in enumerate(active)}
     else:
-        if config.variant == "evolgnn" and graph is None:
-            raise ValueError("evolgnn requires a graph over the family")
+        if config.variant == "evolgnn":
+            if graph is None:
+                raise ValueError("evolgnn requires a graph over the family")
+            if graph.n_nodes != family.m:
+                raise ValueError(
+                    f"graph has {graph.n_nodes} nodes but the family has {family.m} records"
+                )
         active = list(range(family.m))
     encoded = family.encoded[active]
 
@@ -315,7 +320,7 @@ def build_forward(
             h = evolgnn_layer(
                 h,
                 r_bar,
-                graph.dense(dtype=dtype),
+                graph,
                 leaves[f"{prefix}.neighbor"],
                 leaves[f"{prefix}.gate"],
                 leaves[f"{prefix}.combine"],

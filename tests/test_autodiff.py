@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from evolmpnn import autodiff as ad
+from evolmpnn.data import ALPHABET, Family, ProteinRecord, knn_graph
 
 
 def numeric_grad(fn, arrays, which, eps=1e-6):
@@ -116,6 +117,38 @@ class TestReductionsAndShape:
     def test_take_rows_matrix_index(self):
         idx = np.array([[0, 1], [1, 1]])
         check_op(lambda t: ad.take_rows(t[0], idx), 1, [(2, 5)])
+
+
+class TestNeighborSum:
+    def test_grad_on_asymmetric_edges(self):
+        rng = np.random.default_rng(8)
+        adj = rng.random((6, 6)) < 0.4
+        np.fill_diagonal(adj, False)
+        assert (adj != adj.T).any()
+        dst, src = np.argwhere(adj).T
+        check_op(lambda t: ad.neighbor_sum(t[0], dst, src), 1, [(6, 3)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_dense_product_on_knn_graph(self, dtype):
+        # Few letters and short sequences give many distance ties, and the
+        # union symmetrization gives rows of unequal degree.
+        rng = np.random.default_rng(9)
+        seqs = ["".join(rng.choice(list(ALPHABET[:3]), size=4)) for _ in range(60)]
+        fam = Family(
+            [ProteinRecord(f"p{i}", q, (0.0,), is_wild_type=i == 0) for i, q in enumerate(seqs)]
+        )
+        edges = knn_graph(fam, k=5).edges
+        adj = np.zeros((fam.m, fam.m), dtype=dtype)
+        adj[edges[:, 0], edges[:, 1]] = 1.0
+        x = rng.standard_normal((fam.m, 7)).astype(dtype)
+        g = rng.standard_normal((fam.m, 7)).astype(dtype)
+        leaf = ad.Tensor(x, requires_grad=True)
+        out = ad.neighbor_sum(leaf, edges[:, 0], edges[:, 1])
+        ad.sum_over(ad.mul(out, ad.constant(g))).backward()
+        dense = np.einsum("ij,jk->ik", adj, x, optimize=False)
+        dense_grad = np.einsum("ij,jk->ik", adj.T, g, optimize=False)
+        assert out.data.dtype == dtype and out.data.tobytes() == dense.tobytes()
+        assert leaf.grad.tobytes() == dense_grad.tobytes()
 
 
 class TestSoftmaxAndNorm:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -245,13 +246,16 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def write_edited(self, path, edit):
-        """Save a checkpoint, then rewrite its manifest through ``edit``."""
+        """Save a checkpoint, then rewrite its manifest through ``edit``,
+        which changes it in place or returns a replacement."""
         params, run = self.make_params()
         save_checkpoint(params, run, path)
         raw = path.read_bytes()
         (mlen,) = struct.unpack_from("<I", raw, 4)
         manifest = json.loads(raw[8 : 8 + mlen])
-        edit(manifest)
+        replaced = edit(manifest)
+        if replaced is not None:
+            manifest = replaced
         edited = json.dumps(manifest, sort_keys=True).encode()
         path.write_bytes(raw[:4] + struct.pack("<I", len(edited)) + edited + raw[8 + mlen :])
 
@@ -301,6 +305,47 @@ class TestCheckpoints:
         save_checkpoint(params, run, path)
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            (None, None, "manifest is not a JSON object"),
+            ("name", None, "tensor entry 0 has no 'name'"),
+            ("kind", None, r"tensor entry 0 \('residue_embed'\) has no 'kind'"),
+            ("shape", None, r"tensor entry 0 \('residue_embed'\) has no 'shape'"),
+            ("offset", None, r"tensor entry 0 \('residue_embed'\) has no 'offset'"),
+            ("name", 3, "tensor entry 0 has an invalid 'name': 3"),
+            ("kind", "weights", "has an invalid 'kind': 'weights'"),
+            ("shape", "20x4", "has an invalid 'shape': '20x4'"),
+            ("shape", [20, -4], r"has an invalid 'shape': \[20, -4\]"),
+            ("offset", 0.5, "has an invalid 'offset': 0.5"),
+            ("offset", True, "has an invalid 'offset': True"),
+        ],
+        ids=["list", "no-name", "no-kind", "no-shape", "no-offset", "name", "kind",
+             "shape", "shape-entry", "offset", "offset-bool"],
+    )
+    def test_malformed_manifest_is_an_eval_error(self, tmp_path, capsys, key, value, message):
+        def edit(manifest):
+            if key is None:
+                return [manifest]
+            entry = manifest["tensors"][0]
+            if value is None:
+                del entry[key]
+            else:
+                entry[key] = value
+
+        path = tmp_path / "model.ckpt"
+        self.write_edited(path, edit)
+        assert dispatch(["eval", "--ckpt", str(path)]) == 1
+        assert re.search(message, json.loads(capsys.readouterr().err)["error"])
+
+    @pytest.mark.parametrize("config", [["model"], {"model": ["d"]}], ids=["config", "model"])
+    def test_model_config_must_be_an_object(self, tmp_path, capsys, config):
+        path = tmp_path / "model.ckpt"
+        self.write_edited(path, lambda m: m.update(config=config))
+        assert dispatch(["eval", "--ckpt", str(path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "manifest has no 'config.model' object" in error
 
     def test_version_1_asks_for_retraining(self, tmp_path):
         # Anchors are recomputed at load time, so a model trained against the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from evolmpnn.data import (
     AA_INDEX,
     Family,
     FamilyError,
+    Graph,
     LandscapeSpec,
     ProteinRecord,
     SplitError,
@@ -300,6 +302,53 @@ class TestKnnGraph:
         shuffled = list(records)
         rng.shuffle(shuffled)
         assert id_edges(records) == id_edges(shuffled)
+
+    def test_paper_scale_family_in_bounded_memory(self):
+        # Dense int32 and float64 M x M distance matrices would hold 805 MB here.
+        rng = np.random.default_rng(4)
+        wt = rng.integers(0, 20, size=32)
+        encoded = np.repeat(wt[None, :], 8192, axis=0)
+        hits = rng.random(encoded.shape) < 0.1
+        encoded[hits] = (encoded[hits] + rng.integers(1, 20, size=hits.sum())) % 20
+        fam = make_family(["".join(ALPHABET[c] for c in row) for row in encoded])
+        tracemalloc.start()
+        try:
+            g = knn_graph(fam, k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160e6
+        assert g.n_nodes == 8192
+        assert np.all(np.bincount(g.edges[:, 0], minlength=8192) >= 10)
+
+
+class TestGraphEdges:
+    EDGES = np.array([[0, 1], [0, 2], [1, 0], [2, 0]])
+
+    def test_valid_edges_accepted(self):
+        assert Graph(3, 1, self.EDGES).edges is self.EDGES
+        unsigned = Graph(3, 1, self.EDGES.astype(np.uint32)).edges
+        assert unsigned.dtype == np.int64 and np.array_equal(unsigned, self.EDGES)
+        assert Graph(3, 1, np.zeros((0, 2), dtype=np.int64)).edges.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            (np.array([0, 1, 1, 0]), r"\(E, 2\) integer array, got \(4,\) int64"),
+            ([[0, 1], [1, 0]], r"\(E, 2\) integer array, got list"),
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), r"integer array, got \(2, 2\) float64"),
+            (np.array([[0, -1], [-1, 0]]), r"out of range \[0, 3\)"),
+            (np.array([[0, 3], [3, 0]]), r"out of range \[0, 3\)"),
+            (np.array([[0, 0], [0, 1]]), "self-loops"),
+            (np.array([[0, 1], [0, 1], [1, 0]]), "duplicate edges"),
+            (np.array([[1, 0], [0, 1]]), "lexicographic order"),
+        ],
+        ids=["shape", "not-array", "dtype", "negative", "too-large", "self-loop",
+             "duplicate", "order"],
+    )
+    def test_invalid_edges_rejected(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(3, 1, edges)
 
 
 def zero_spec(**kw):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from evolmpnn import autodiff as ad
+from evolmpnn.data import Graph
 from evolmpnn.evolution import (
     AnchorPolicy,
     AnchorSet,
@@ -368,6 +369,11 @@ def naive_evolgnn(h, r_bar, adj, w_n, w_g, w_c):
     return out
 
 
+def graph_of(adj):
+    """The edge list of a 0/1 adjacency matrix, in row-major order."""
+    return Graph(n_nodes=len(adj), k=1, edges=np.argwhere(adj > 0))
+
+
 class TestEvolGnnLayer:
     def make_case(self, m=5, d=4, seed=0):
         rng = np.random.default_rng(seed)
@@ -378,15 +384,19 @@ class TestEvolGnnLayer:
         w_c = rng.normal(size=(2 * d, d))
         return h, r_bar, w_n, w_g, w_c
 
+    def layer(self, h, r_bar, adj, w_n, w_g, w_c):
+        return evolgnn_layer(
+            ad.constant(h), ad.constant(r_bar), graph_of(adj),
+            ad.constant(w_n), ad.constant(w_g), ad.constant(w_c),
+        ).data
+
     def test_matches_naive_two_node_path(self):
         h, r_bar, w_n, w_g, w_c = self.make_case(m=2)
         adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = evolgnn_layer(
-            ad.constant(h), ad.constant(r_bar), adj,
-            ad.constant(w_n), ad.constant(w_g), ad.constant(w_c),
-        )
         np.testing.assert_allclose(
-            out.data, naive_evolgnn(h, r_bar, adj, w_n, w_g, w_c), atol=1e-12
+            self.layer(h, r_bar, adj, w_n, w_g, w_c),
+            naive_evolgnn(h, r_bar, adj, w_n, w_g, w_c),
+            atol=1e-12,
         )
 
     def test_matches_naive_random_graph(self):
@@ -395,34 +405,51 @@ class TestEvolGnnLayer:
         adj = (rng.random((7, 7)) < 0.4).astype(float)
         np.fill_diagonal(adj, 0.0)
         adj = np.maximum(adj, adj.T)
-        out = evolgnn_layer(
-            ad.constant(h), ad.constant(r_bar), adj,
-            ad.constant(w_n), ad.constant(w_g), ad.constant(w_c),
-        )
         np.testing.assert_allclose(
-            out.data, naive_evolgnn(h, r_bar, adj, w_n, w_g, w_c), atol=1e-12
+            self.layer(h, r_bar, adj, w_n, w_g, w_c),
+            naive_evolgnn(h, r_bar, adj, w_n, w_g, w_c),
+            atol=1e-12,
         )
 
     def test_empty_graph_uses_half_gate(self):
         h, r_bar, w_n, w_g, w_c = self.make_case(m=3)
-        adj = np.zeros((3, 3))
-        out = evolgnn_layer(
-            ad.constant(h), ad.constant(r_bar), adj,
-            ad.constant(w_n), ad.constant(w_g), ad.constant(w_c),
-        ).data
+        out = self.layer(h, r_bar, np.zeros((3, 3)), w_n, w_g, w_c)
         expected = np.concatenate([np.zeros_like(h), 0.5 * h], axis=1) @ w_c
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_zero_difference_zeroes_neighbor_message(self):
         h, r_bar, w_n, w_g, w_c = self.make_case(m=2)
         r_bar[1] = r_bar[0]
-        adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = evolgnn_layer(
-            ad.constant(h), ad.constant(r_bar), adj,
-            ad.constant(w_n), ad.constant(w_g), ad.constant(w_c),
-        ).data
+        out = self.layer(h, r_bar, np.array([[0.0, 1.0], [1.0, 0.0]]), w_n, w_g, w_c)
         expected = np.concatenate([np.zeros_like(h), 0.5 * h], axis=1) @ w_c
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_large_sparse_graph_in_edge_memory(self):
+        # One float64 M x M adjacency would take 537 MB at this size.
+        m, d = 8192, 8
+        h, r_bar, w_n, w_g, w_c = self.make_case(m=m, d=d, seed=4)
+        ring = np.arange(m)
+        pairs = [(ring, (ring + s) % m) for s in (1, 2, 3, 4, 5)]
+        pairs += [(b, a) for a, b in pairs]
+        edges = np.unique(np.concatenate([np.stack(p, axis=1) for p in pairs]), axis=0)
+        graph = Graph(n_nodes=m, k=10, edges=edges)
+        leaves = [ad.Tensor(a, requires_grad=True) for a in (h, r_bar, w_n, w_g, w_c)]
+        tracemalloc.start()
+        try:
+            out = evolgnn_layer(leaves[0], leaves[1], graph, *leaves[2:])
+            ad.sum_over(out).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert out.shape == (m, d)
+        assert all(np.all(np.isfinite(leaf.grad)) for leaf in leaves)
+        # Node 0 receives from 1..5 and m-5..m-1; check it against the oracle.
+        local = np.r_[0, 1:6, m - 5 : m]
+        adj = np.zeros((11, 11))
+        adj[0, 1:] = 1.0
+        expected = naive_evolgnn(h[local], r_bar[local], adj, w_n, w_g, w_c)[0]
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
 
 class TestEvolFormerLayer:

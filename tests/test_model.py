@@ -92,6 +92,14 @@ class TestForwardShapes:
         with pytest.raises(ValueError, match="requires a graph"):
             forward(fam, params, config)
 
+    def test_evolgnn_graph_must_cover_family(self):
+        fam = tiny_family()
+        other = tiny_family(seqs=("ACD", "ACE", "GCD", "AAD", "AAE"), targets=(0.0,) * 5)
+        config = tiny_config("evolgnn")
+        params = init_params(config, fam.n, seed=0)
+        with pytest.raises(ValueError, match="graph has 5 nodes but the family has 4"):
+            forward(fam, params, config, graph=knn_graph(other, k=2))
+
 
 class TestAgainstStraightLineOracle:
     def oracle(self, fam, params, config):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evolmpnn import training
+from evolmpnn import data, training
 from evolmpnn.data import LandscapeSpec, split_lambda_vs_rest, synth_family
 from evolmpnn.model import ModelConfig
 
@@ -29,13 +29,17 @@ def load_tracer(monkeypatch):
     return module
 
 
-def test_tracer_counts_training_layers(monkeypatch):
+def small_task():
     rng = np.random.default_rng(5)
     spec = LandscapeSpec(
         n=6, m=32, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=5
     )
     fam = synth_family(spec).family
-    split = split_lambda_vs_rest(fam, lam=2, valid_frac=0.2, seed=0)
+    return fam, split_lambda_vs_rest(fam, lam=2, valid_frac=0.2, seed=0)
+
+
+def test_tracer_counts_training_layers(monkeypatch):
+    fam, split = small_task()
     config = ModelConfig(variant="evolmpnn", d=8, heads=2, l_r=1, l_p=1)
     original = training.train
     tracer = load_tracer(monkeypatch).Tracer()
@@ -51,4 +55,22 @@ def test_tracer_counts_training_layers(monkeypatch):
         "residue_encoder.attention_calls",
         "evolution.sample_calls",
     ):
+        assert metrics[name] > 0, name
+
+
+def test_tracer_times_graph_layers(monkeypatch):
+    fam, split = small_task()
+    config = ModelConfig(variant="evolgnn", d=8, heads=2, l_r=1, l_p=1, knn_k=3)
+    tracer = load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        # Looked up on the module after install(), as the benchmark does.
+        graph = data.knn_graph(fam, config.knn_k)
+        training.train(
+            fam, split, config, training.TrainConfig(epochs=1, batch_size=8), graph=graph
+        )
+    finally:
+        tracer.uninstall()
+    metrics = tracer.per_layer()
+    for name in ("data.knn_edges", "evolution.evolgnn_layer_s"):
         assert metrics[name] > 0, name
