@@ -65,9 +65,14 @@ def load_run_config(path) -> dict:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError("run config must be a JSON object")
     unknown = set(doc) - {"model", "train", "data"}
     if unknown:
         raise ConfigError(f"unknown run config sections: {sorted(unknown)}")
+    for section in ("model", "train", "data"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise ConfigError(f"run config section {section!r} must be a JSON object")
     model = ModelConfig.from_json(doc.get("model", {}))
     train_cfg = TrainConfig.from_json(doc.get("train", {}))
     data = dict(doc.get("data", {}))
@@ -77,8 +82,11 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"unknown data keys: {sorted(unknown)}")
     base = path.parent
     for key, value in data.items():
-        if value is not None:
-            data[key] = str((base / value).resolve())
+        if value is None:
+            continue
+        if not isinstance(value, str):
+            raise ConfigError(f"data.{key} must be a path string or null, got {value!r}")
+        data[key] = str((base / value).resolve())
     return {"model": model, "train": train_cfg, "data": data}
 
 

@@ -362,9 +362,14 @@ class Graph:
             raise ValueError("edges must be in lexicographic order")
 
 
-# Bytes per block of K-NN rows: an M x N bool comparison plus three M-long
-# int64 rows (distances, keys, partition) per row.
-_KNN_BLOCK_BYTES = 64 << 20
+# Bytes per row block of the all-pairs distance helpers (K-NN, Hamming
+# matrix, distortion). Blocks that stay near the CPU caches ran fastest.
+_BLOCK_BYTES = 4 << 20
+
+
+def _block_rows(bytes_per_row: int) -> int:
+    """Rows per block when each row needs ``bytes_per_row`` of scratch."""
+    return max(1, _BLOCK_BYTES // bytes_per_row)
 
 
 def _hamming_rows(encoded: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -372,10 +377,12 @@ def _hamming_rows(encoded: np.ndarray, start: int, stop: int) -> np.ndarray:
     return (encoded[start:stop, None, :] != encoded[None, :, :]).sum(axis=2)
 
 
-def pairwise_hamming(encoded: np.ndarray, block: int = 256) -> np.ndarray:
+def pairwise_hamming(encoded: np.ndarray) -> np.ndarray:
     """Dense M x M Hamming distance matrix over encoded sequences."""
-    m = encoded.shape[0]
+    m, n = encoded.shape
     out = np.zeros((m, m), dtype=np.int32)
+    # Per row: an M x N bool comparison and an M-long int64 row of counts.
+    block = _block_rows(m * (n + 8))
     for start in range(0, m, block):
         stop = min(start + block, m)
         out[start:stop] = _hamming_rows(encoded, start, stop)
@@ -393,7 +400,9 @@ def knn_graph(family: Family, k: int) -> Graph:
         raise ValueError(f"K must be >= 1, got {k}")
     if k >= m:
         raise ValueError(f"K={k} must be smaller than the family size M={m}")
-    block = max(1, _KNN_BLOCK_BYTES // (m * (family.n + 24)))
+    # Per row: an M x N bool comparison and three M-long int64 rows
+    # (distances, keys, partition).
+    block = _block_rows(m * (family.n + 24))
     index = np.arange(m)
     nearest = np.empty((m, k), dtype=np.int64)
     for start in range(0, m, block):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ALPHABET, Family, Graph, SplitAssignment, pairwise_hamming
+from .data import ALPHABET, Family, Graph, SplitAssignment, _block_rows, _hamming_rows
 from .evolution import anchor_count, sample_anchor_sets, AnchorPolicy
 from .model import ModelConfig, ModelParams, forward
 
@@ -197,31 +197,55 @@ def distortion(
     over all pairs with positive base distance, which makes the measure
     invariant to a global rescaling of the embedding. A zero embedded
     distance for a separated pair reports alpha as infinity.
+
+    Pairs i < j are measured one block of rows i at a time, so memory stays
+    O(block * M * D); a family's Hamming distances are computed per block.
     """
     emb = np.atleast_2d(np.asarray(embedded, dtype=np.float64))
+    if not np.all(np.isfinite(emb)):
+        raise ValueError("embedding has non-finite values")
     if family is not None:
-        base = pairwise_hamming(family.encoded).astype(np.float64)
+        m = family.m
     elif base_matrix is not None:
-        base = np.asarray(base_matrix, dtype=np.float64)
+        base_matrix = np.asarray(base_matrix, dtype=np.float64)
+        if base_matrix.ndim != 2 or base_matrix.shape[0] != base_matrix.shape[1]:
+            raise ValueError(f"base matrix must be square, got shape {base_matrix.shape}")
+        if not np.all(np.isfinite(base_matrix)):
+            raise ValueError("base matrix has non-finite values")
+        if np.any(base_matrix < 0):
+            raise ValueError("base matrix has negative distances")
+        m = base_matrix.shape[0]
         metric = metric if metric != "hamming" else "precomputed"
     else:
         raise ValueError("distortion needs a family or a base matrix")
-    m = base.shape[0]
     if emb.shape[0] != m:
         raise ValueError("embedding rows must match the metric space size")
-    diffs = emb[:, None, :] - emb[None, :, :]
-    emb_dist = np.sqrt((diffs**2).sum(axis=2))
-    iu, ju = np.triu_indices(m, k=1)
-    keep = base[iu, ju] > 0
-    f_base = base[iu, ju][keep]
-    f_emb = emb_dist[iu, ju][keep]
-    n_pairs = int(keep.sum())
+    # Per row: an M x D float64 difference block and a few M-long rows.
+    block = _block_rows(m * 8 * (emb.shape[1] + 8))
+    expansion = contraction = 0.0
+    n_pairs = 0
+    collapsed = False
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        # Row r of the block is record lo + r; column c is record lo + c.
+        diffs = emb[lo:hi, None, :] - emb[None, lo:, :]
+        emb_dist = np.sqrt(np.square(diffs, out=diffs).sum(axis=2))
+        if family is not None:
+            base = _hamming_rows(family.encoded[lo:], 0, hi - lo).astype(np.float64)
+        else:
+            base = base_matrix[lo:hi, lo:]
+        keep = (base > 0) & (np.arange(m - lo) > np.arange(hi - lo)[:, None])
+        f_base = base[keep]
+        f_emb = emb_dist[keep]
+        n_pairs += f_base.size
+        collapsed = collapsed or bool(np.any(f_emb == 0))
+        if f_base.size and not collapsed:
+            expansion = max(expansion, float(np.max(f_emb / f_base)))
+            contraction = max(contraction, float(np.max(f_base / f_emb)))
     if n_pairs == 0:
         raise ValueError("no separated pairs to measure")
-    if np.any(f_emb == 0):
+    if collapsed:
         return DistortionReport(alpha=float("inf"), pairs=n_pairs, metric=metric)
-    expansion = float(np.max(f_emb / f_base))
-    contraction = float(np.max(f_base / f_emb))
     return DistortionReport(alpha=expansion * contraction, pairs=n_pairs, metric=metric)
 
 

@@ -10,6 +10,11 @@ of every layer's anchor members. Every cycle of inclusion probabilities has
 a p = 1/2 set, so that union is in practice the whole training pool: a
 training batch encodes the batch plus the pool. The graph and all-pairs
 variants are transductive and always compute over every record.
+
+Only training steps build the autodiff graph. Inference and validation run
+with constant leaves, so no op keeps its inputs or a backward closure, and
+they encode proteins in row blocks: their memory is O(block * N^2 + M * d),
+plus the M x M attention of the all-pairs variant.
 """
 
 from __future__ import annotations
@@ -224,7 +229,7 @@ class Prediction:
 
 @dataclass
 class ForwardGraph:
-    """Differentiable forward pass with leaf handles for the optimizer."""
+    """Forward-pass tensors with leaf handles; differentiable when built with grad."""
 
     y_hat: ad.Tensor
     z: ad.Tensor
@@ -241,6 +246,45 @@ class ForwardGraph:
         }
 
 
+# Inference encodes proteins in blocks of about this many bytes of float64
+# attention logits per head: 64 rows at N = 32, which ran faster than
+# larger blocks whose activations no longer stay in cache.
+_ENCODE_BLOCK_BYTES = 512 << 10
+
+
+def _encode_rows(
+    family: Family, active: list[int], leaves: dict[str, ad.Tensor], config: ModelConfig
+) -> tuple[ad.Tensor, ad.Tensor]:
+    """Per-protein encoding of the ``active`` rows: (r_bar, h), each rows x d.
+
+    Residue embeddings are positionally modulated and run through the
+    attention stack, then mean-pooled; h is the initial protein embedding.
+    """
+    dtype = config.np_dtype
+    encoded = family.encoded[active]
+    if config.residue_mode == "onehot":
+        x = onehot_residues(encoded, leaves["residue_embed"])
+    else:
+        if family.residue_feats is None:
+            raise ValueError("residue_mode=sidecar requires residue features")
+        x = ad.constant(family.residue_feats[active].astype(dtype, copy=False))
+    r = apply_positional(x, leaves["phi_pos"])
+    for layer in range(config.l_r):
+        r = attention_layer(
+            r, leaves, f"res{layer}", config.heads, label=f"residue layer {layer}"
+        )
+    r_bar = ad.mean_over(r, axis=1)
+
+    feats = family.protein_feats
+    h = init_protein_embeddings(
+        encoded,
+        config.protein_mode,
+        projection=leaves.get("protein_embed"),
+        precomputed=None if feats is None else feats[active].astype(dtype, copy=False),
+    )
+    return r_bar, h
+
+
 def build_forward(
     family: Family,
     params: ModelParams,
@@ -250,11 +294,19 @@ def build_forward(
     train_ids=None,
     anchor_draw: int = 0,
     graph: Graph | None = None,
+    grad: bool = True,
 ) -> ForwardGraph:
-    """Run the full pipeline, returning tensors for the requested rows."""
+    """Run the full pipeline, returning tensors for the requested rows.
+
+    Training passes ``grad=True``: the leaves require gradients and every op
+    records its backward closure. Inference and validation pass
+    ``grad=False``: the leaves are constants, so no graph is kept, and the
+    per-protein encoding runs in row blocks. Its memory is then
+    O(block * N^2 + M * d), plus evolformer's M x M attention.
+    """
     dtype = config.np_dtype
     leaves = {
-        name: ad.Tensor(value.astype(dtype, copy=False), requires_grad=True)
+        name: ad.Tensor(value.astype(dtype, copy=False), requires_grad=grad)
         for name, value in params.tensors.items()
     }
     requested = list(range(family.m)) if rows is None else [int(r) for r in rows]
@@ -285,29 +337,19 @@ def build_forward(
                     f"graph has {graph.n_nodes} nodes but the family has {family.m} records"
                 )
         active = list(range(family.m))
-    encoded = family.encoded[active]
-
-    # Residue embeddings, positionally modulated, then the attention stack.
-    if config.residue_mode == "onehot":
-        x = onehot_residues(encoded, leaves["residue_embed"])
+    # Each protein is encoded alone. Inference encodes row blocks, which
+    # bounds the residue stack's memory; training keeps one block, because
+    # summing weight gradients over blocks would reorder their float sums.
+    step = len(active) if grad else max(1, _ENCODE_BLOCK_BYTES // (8 * family.n**2))
+    blocks = [
+        _encode_rows(family, active[lo : lo + step], leaves, config)
+        for lo in range(0, len(active), step)
+    ]
+    if len(blocks) == 1:
+        r_bar, h = blocks[0]
     else:
-        if family.residue_feats is None:
-            raise ValueError("residue_mode=sidecar requires residue features")
-        x = ad.constant(family.residue_feats[active].astype(dtype, copy=False))
-    r = apply_positional(x, leaves["phi_pos"])
-    for layer in range(config.l_r):
-        r = attention_layer(
-            r, leaves, f"res{layer}", config.heads, label=f"residue layer {layer}"
-        )
-    r_bar = ad.mean_over(r, axis=1)
-
-    feats = family.protein_feats
-    h = init_protein_embeddings(
-        encoded,
-        config.protein_mode,
-        projection=leaves.get("protein_embed"),
-        precomputed=None if feats is None else feats[active].astype(dtype, copy=False),
-    )
+        r_bar = ad.constant(np.concatenate([block[0].data for block in blocks]))
+        h = ad.constant(np.concatenate([block[1].data for block in blocks]))
 
     for layer in range(config.l_p):
         prefix = f"evo{layer}"
@@ -351,7 +393,7 @@ def forward(
     anchor_draw: int = 0,
     graph: Graph | None = None,
 ) -> Prediction:
-    """Inference-only forward pass returning plain arrays."""
+    """Inference-only forward pass returning plain arrays; keeps no graph."""
     fg = build_forward(
         family,
         params,
@@ -360,6 +402,7 @@ def forward(
         train_ids=train_ids,
         anchor_draw=anchor_draw,
         graph=graph,
+        grad=False,
     )
     return Prediction(
         y_hat=fg.y_hat.data,

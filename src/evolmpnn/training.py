@@ -2,8 +2,9 @@
 
 Training shuffles the train rows into mini-batches; for the anchor-based
 variant each batch forward also encodes the current anchor members, which
-in practice cover the whole training pool. Validation Spearman drives
-model selection and the returned parameters are the ones from the best
+in practice cover the whole training pool. Validation runs the forward
+pass without the autodiff graph, in row blocks, and its Spearman drives
+model selection: the returned parameters are the ones from the best
 validation epoch. Everything is reproducible from (seed, config, data).
 """
 
@@ -239,6 +240,7 @@ def train(
                     train_ids=train_ids,
                     anchor_draw=0,
                     graph=graph,
+                    grad=False,
                 )
             except NumericsError as err:
                 raise TrainingError(

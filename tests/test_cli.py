@@ -187,6 +187,27 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown data keys"):
             load_run_config(cfg)
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([1], "run config must be a JSON object"),
+            ({"model": ["d"]}, "section 'model' must be a JSON object"),
+            ({"train": 3}, "section 'train' must be a JSON object"),
+            ({"data": ["family"]}, "section 'data' must be a JSON object"),
+            ({"model": None}, "section 'model' must be a JSON object"),
+            ({"data": {"family": 3}}, "data.family must be a path string or null"),
+            ({"data": {"split": ["s.csv"]}}, "data.split must be a path string or null"),
+        ],
+    )
+    def test_malformed_document_is_a_config_error(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        ckpt = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert dispatch(["train", "--config", str(cfg), "--out", str(ckpt)]) == 1
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not ckpt.exists()
+
 
 class TestCheckpoints:
     def make_params(self, dtype="float32"):

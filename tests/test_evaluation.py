@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from evolmpnn import evaluation
 from evolmpnn.data import (
+    ALPHABET,
     Family,
     LandscapeSpec,
     ProteinRecord,
+    pairwise_hamming,
     split_lambda_vs_rest,
     synth_family,
 )
@@ -20,9 +25,38 @@ from evolmpnn.evaluation import (
     group_by_mutation_count,
     linear_baseline,
     onehot_features,
+    predict,
     rank_average,
     spearman,
 )
+from evolmpnn.model import ModelConfig, init_params
+
+
+def paper_scale_family(m, n=32, seed=4):
+    """m sequences of length n, each residue mutated away from a wild type
+    with probability 0.1."""
+    rng = np.random.default_rng(seed)
+    wt = rng.integers(0, 20, size=n)
+    encoded = np.repeat(wt[None, :], m, axis=0)
+    hits = rng.random(encoded.shape) < 0.1
+    hits[0] = False
+    encoded[hits] = (encoded[hits] + rng.integers(1, 20, size=hits.sum())) % 20
+    return Family(
+        [
+            ProteinRecord(f"p{i}", "".join(ALPHABET[c] for c in row), (0.0,), i == 0)
+            for i, row in enumerate(encoded)
+        ]
+    )
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def naive_spearman(x, y):
@@ -151,6 +185,11 @@ class TestDistortion:
             got = distortion(emb, base_matrix=base).alpha
             assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_matches_bruteforce_in_row_blocks(self, monkeypatch):
+        # Blocks of 3 rows, fewer than every space has; 3 divides only m = 6.
+        monkeypatch.setattr(evaluation, "_block_rows", lambda bytes_per_row: 3)
+        self.test_matches_bruteforce_pair_ratios()
+
     def test_collapsed_pair_reports_infinity(self):
         base = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
         emb = np.array([[0.0], [0.0], [1.0]])
@@ -170,6 +209,54 @@ class TestDistortion:
         report = distortion(emb, fam)
         assert report.metric == "hamming"
         assert report.pairs == 3
+
+    def test_row_blocks_give_the_whole_matrix_result(self, monkeypatch):
+        fam = paper_scale_family(50, n=8, seed=1)
+        base = pairwise_hamming(fam.encoded)
+        emb = np.random.default_rng(3).normal(size=(fam.m, 5))
+        whole = distortion(emb, base_matrix=base)
+        monkeypatch.setattr(evaluation, "_block_rows", lambda bytes_per_row: 7)
+        for report in (distortion(emb, fam), distortion(emb, base_matrix=base)):
+            assert report.alpha == whole.alpha
+            assert report.pairs == whole.pairs
+
+    @pytest.mark.parametrize(
+        "emb,base,message",
+        [
+            ([[0.0], [np.nan], [1.0]], np.ones((3, 3)), "embedding has non-finite values"),
+            ([[0.0], [1.0], [2.0]], np.ones((3, 5)), "base matrix must be square"),
+            ([[0.0], [1.0], [2.0]], [[0, 1, np.inf], [1, 0, 1], [1, 1, 0]], "non-finite"),
+            ([[0.0], [1.0], [2.0]], [[0, 1, -1], [1, 0, 1], [1, 1, 0]], "negative distances"),
+        ],
+        ids=["nan-embedding", "not-square", "inf-base", "negative-base"],
+    )
+    def test_invalid_inputs_rejected(self, emb, base, message):
+        with pytest.raises(ValueError, match=message):
+            distortion(np.array(emb), base_matrix=np.array(base, dtype=float))
+
+    def test_paper_scale_family_in_bounded_memory(self):
+        # A whole M x M x 64 float64 difference tensor alone is 2.1 GB here.
+        fam = paper_scale_family(2048)
+        emb = np.random.default_rng(0).normal(size=(fam.m, 64))
+        report, peak = traced_peak(lambda: distortion(emb, fam))
+        assert peak < 128e6
+        assert np.isfinite(report.alpha)
+        assert report.pairs == np.count_nonzero(np.triu(pairwise_hamming(fam.encoded), 1))
+
+
+class TestPredict:
+    def test_paper_scale_family_in_bounded_memory(self):
+        # Run through the training graph, this prediction peaks at about 1.9 GB.
+        fam = paper_scale_family(8192)
+        config = ModelConfig(variant="evolmpnn", d=32, heads=2, l_r=1, l_p=1)
+        params = init_params(config, fam.n, seed=0)
+        pool = [fam.ids[i] for i in range(400)]
+        rows = list(range(400, fam.m))
+        preds, peak = traced_peak(
+            lambda: predict(fam, params, config, rows=rows, train_ids=pool)
+        )
+        assert peak < 64e6
+        assert preds.shape == (len(rows), 1) and np.all(np.isfinite(preds))
 
 
 class TestBourgainEmbedding:

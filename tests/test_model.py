@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from evolmpnn import autodiff as ad
-from evolmpnn.data import Family, ProteinRecord, knn_graph
+from evolmpnn import model as model_module
+from evolmpnn.data import (
+    Family,
+    LandscapeSpec,
+    ProteinRecord,
+    knn_graph,
+    split_lambda_vs_rest,
+    synth_family,
+)
 from evolmpnn.evolution import AnchorPolicy, sample_anchor_sets
 from evolmpnn.model import (
     ModelConfig,
@@ -213,6 +221,53 @@ class TestSidecarModes:
         params = init_params(config, 3, seed=0)
         assert "residue_embed" not in params.tensors
         assert "protein_embed" not in params.tensors
+
+
+class TestGradientFreeInference:
+    @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("l_r,l_p", [(1, 1), (2, 2)])
+    def test_blocked_inference_is_bitwise_equal_to_training_graph(
+        self, monkeypatch, variant, dtype, l_r, l_p
+    ):
+        rng = np.random.default_rng(11)
+        spec = LandscapeSpec(
+            n=6, m=32, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=11
+        )
+        fam = synth_family(spec).family
+        split = split_lambda_vs_rest(fam, lam=2, valid_frac=0.2, seed=0)
+        train_ids = [fam.ids[i] for i in split.rows(fam, "train")]
+        rows = split.rows(fam, "test")
+        config = tiny_config(variant, dtype=dtype, l_r=l_r, l_p=l_p, knn_k=3)
+        params = init_params(config, fam.n, seed=12)
+        graph = knn_graph(fam, k=3) if variant == "evolgnn" else None
+        kw = dict(rows=rows, train_ids=train_ids, graph=graph)
+
+        # Blocks of 3 rows, which divides no active row count here.
+        monkeypatch.setattr(model_module, "_ENCODE_BLOCK_BYTES", 3 * 8 * fam.n**2)
+        encoded_rows = []
+        attention = model_module.attention_layer
+
+        def counting(x, *args, **kwargs):
+            encoded_rows.append(x.shape[0])
+            return attention(x, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "attention_layer", counting)
+        pred = forward(fam, params, config, **kw)
+        assert max(encoded_rows) == 3 and min(encoded_rows) < 3
+
+        fg = build_forward(fam, params, config, **kw)
+        for got, expected in zip(
+            (pred.y_hat, pred.z, pred.z_p, pred.z_r), (fg.y_hat, fg.z, fg.z_p, fg.z_r)
+        ):
+            assert got.dtype == expected.data.dtype
+            assert got.tobytes() == expected.data.tobytes()
+        assert pred.rows == fg.rows
+
+        inference = build_forward(fam, params, config, grad=False, **kw)
+        assert not inference.y_hat.requires_grad
+        assert inference.y_hat._parents == () and inference.y_hat._backward is None
+        assert inference.grads() == {}
 
 
 class TestMseLoss:

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from evolmpnn import data, training
+from evolmpnn import data, evaluation, model, training
 from evolmpnn.data import LandscapeSpec, split_lambda_vs_rest, synth_family
-from evolmpnn.model import ModelConfig
+from evolmpnn.model import ModelConfig, init_params
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -74,3 +74,33 @@ def test_tracer_times_graph_layers(monkeypatch):
     metrics = tracer.per_layer()
     for name in ("data.knn_edges", "evolution.evolgnn_layer_s"):
         assert metrics[name] > 0, name
+
+
+def test_tracer_times_blocked_inference(monkeypatch):
+    fam, split = small_task()
+    config = ModelConfig(variant="evolmpnn", d=8, heads=2, l_r=1, l_p=1)
+    params = init_params(config, fam.n)
+    # Several row blocks, each of which must reach the patched residue layer.
+    monkeypatch.setattr(model, "_ENCODE_BLOCK_BYTES", 5 * 8 * fam.n**2)
+    tracer = load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        evaluation.evaluate(fam, split, params, config)
+    finally:
+        tracer.uninstall()
+    by_id = {s.id: s for s in tracer.spans}
+
+    def in_predict(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            if span.name == "evaluation.predict":
+                return True
+        return False
+
+    calls = [
+        s
+        for s in tracer.spans
+        if s.name == "residue_encoder.attention_layer" and in_predict(s)
+    ]
+    assert len(calls) > 1
+    assert tracer.per_layer()["residue_encoder.attention_calls"] == len(calls)
