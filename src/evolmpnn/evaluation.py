@@ -184,6 +184,19 @@ class DistortionReport:
         }
 
 
+def _check_base_matrix(base_matrix) -> np.ndarray:
+    """The base metric as float64, rejecting a matrix that is not square or
+    has non-finite or negative distances."""
+    base = np.asarray(base_matrix, dtype=np.float64)
+    if base.ndim != 2 or base.shape[0] != base.shape[1]:
+        raise ValueError(f"base matrix must be square, got shape {base.shape}")
+    if not np.all(np.isfinite(base)):
+        raise ValueError("base matrix has non-finite values")
+    if np.any(base < 0):
+        raise ValueError("base matrix has negative distances")
+    return base
+
+
 def distortion(
     embedded: np.ndarray,
     family: Family | None = None,
@@ -207,13 +220,7 @@ def distortion(
     if family is not None:
         m = family.m
     elif base_matrix is not None:
-        base_matrix = np.asarray(base_matrix, dtype=np.float64)
-        if base_matrix.ndim != 2 or base_matrix.shape[0] != base_matrix.shape[1]:
-            raise ValueError(f"base matrix must be square, got shape {base_matrix.shape}")
-        if not np.all(np.isfinite(base_matrix)):
-            raise ValueError("base matrix has non-finite values")
-        if np.any(base_matrix < 0):
-            raise ValueError("base matrix has negative distances")
+        base_matrix = _check_base_matrix(base_matrix)
         m = base_matrix.shape[0]
         metric = metric if metric != "hamming" else "precomputed"
     else:
@@ -257,7 +264,7 @@ def bourgain_embedding(
     Uses the same cycling Bernoulli sampler as the evolution layers, so the
     anchor-count policy and set statistics are shared.
     """
-    base = np.asarray(base_matrix, dtype=np.float64)
+    base = _check_base_matrix(base_matrix)
     m = base.shape[0]
     ids = [str(i) for i in range(m)]
     k = k if k is not None else anchor_count(m)

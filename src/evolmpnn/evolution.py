@@ -233,11 +233,23 @@ def evolformer_layer(
     params: dict[str, ad.Tensor],
     prefix: str,
     n_heads: int,
+    rows=None,
 ) -> ad.Tensor:
-    """Protein-level attention with a bilinear residue-summary logit bias."""
+    """Protein-level attention with a bilinear residue-summary logit bias.
+
+    The bias between proteins i and j is ``p_i . p_j / sqrt(d)`` with
+    ``p = r_bar @ bias_proj``; it is passed to the attention layer as its
+    factors, so no M x M bias is formed. ``rows`` selects the query rows
+    to output (default: all), and only those rows attend.
+    """
     d = h.shape[-1]
     projected = ad.matmul(r_bar, params[f"{prefix}.bias_proj"])
-    bias = ad.mul(ad.matmul(projected, ad.transpose_last(projected)), 1.0 / math.sqrt(d))
     return attention_layer(
-        h, params, prefix, n_heads, logit_bias=bias, label=f"evolution layer {prefix}"
+        h,
+        params,
+        prefix,
+        n_heads,
+        rows=rows,
+        bias_factors=(projected, projected, 1.0 / math.sqrt(d)),
+        label=f"evolution layer {prefix}",
     )

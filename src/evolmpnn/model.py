@@ -11,10 +11,13 @@ a p = 1/2 set, so that union is in practice the whole training pool: a
 training batch encodes the batch plus the pool. The graph and all-pairs
 variants are transductive and always compute over every record.
 
+The all-pairs variant's last evolution layer attends only from the rows it
+is asked about, so a training step's last layer is O(B * M).
+
 Only training steps build the autodiff graph. Inference and validation run
 with constant leaves, so no op keeps its inputs or a backward closure, and
-they encode proteins in row blocks: their memory is O(block * N^2 + M * d),
-plus the M x M attention of the all-pairs variant.
+they encode proteins and attend from query rows in blocks: their memory is
+O(block * N^2 + block * M + M * d).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .evolution import (
     evolmpnn_layer,
     sample_anchor_sets,
 )
-from .residue_encoder import NumericsError, attention_layer
+from .residue_encoder import NumericsError, attention_layer, block_rows
 
 VARIANTS = ("evolmpnn", "evolgnn", "evolformer")
 DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -246,12 +249,6 @@ class ForwardGraph:
         }
 
 
-# Inference encodes proteins in blocks of about this many bytes of float64
-# attention logits per head: 64 rows at N = 32, which ran faster than
-# larger blocks whose activations no longer stay in cache.
-_ENCODE_BLOCK_BYTES = 512 << 10
-
-
 def _encode_rows(
     family: Family, active: list[int], leaves: dict[str, ad.Tensor], config: ModelConfig
 ) -> tuple[ad.Tensor, ad.Tensor]:
@@ -285,6 +282,16 @@ def _encode_rows(
     return r_bar, h
 
 
+def _check_rows(rows, m: int) -> list[int]:
+    """Requested rows as ints, rejecting any that is not an integer in [0, m)."""
+    checked = []
+    for r in rows:
+        if not (_is_int(r) or isinstance(r, np.integer)) or not 0 <= r < m:
+            raise ValueError(f"row {r!r} is not an integer in [0, {m})")
+        checked.append(int(r))
+    return checked
+
+
 def build_forward(
     family: Family,
     params: ModelParams,
@@ -301,15 +308,18 @@ def build_forward(
     Training passes ``grad=True``: the leaves require gradients and every op
     records its backward closure. Inference and validation pass
     ``grad=False``: the leaves are constants, so no graph is kept, and the
-    per-protein encoding runs in row blocks. Its memory is then
-    O(block * N^2 + M * d), plus evolformer's M x M attention.
+    per-protein encoding and evolformer's query rows run in blocks. Its
+    memory is then O(block * N^2 + block * M + M * d).
+
+    ``rows`` are family row indices, in any order and possibly repeated;
+    each must be an integer in [0, M).
     """
     dtype = config.np_dtype
     leaves = {
         name: ad.Tensor(value.astype(dtype, copy=False), requires_grad=grad)
         for name, value in params.tensors.items()
     }
-    requested = list(range(family.m)) if rows is None else [int(r) for r in rows]
+    requested = list(range(family.m)) if rows is None else _check_rows(rows, family.m)
 
     if config.variant == "evolmpnn":
         pool_ids = list(train_ids) if train_ids is not None else list(family.ids)
@@ -340,7 +350,7 @@ def build_forward(
     # Each protein is encoded alone. Inference encodes row blocks, which
     # bounds the residue stack's memory; training keeps one block, because
     # summing weight gradients over blocks would reorder their float sums.
-    step = len(active) if grad else max(1, _ENCODE_BLOCK_BYTES // (8 * family.n**2))
+    step = len(active) if grad else block_rows(family.n**2)
     blocks = [
         _encode_rows(family, active[lo : lo + step], leaves, config)
         for lo in range(0, len(active), step)
@@ -351,6 +361,8 @@ def build_forward(
         r_bar = ad.constant(np.concatenate([block[0].data for block in blocks]))
         h = ad.constant(np.concatenate([block[1].data for block in blocks]))
 
+    # ``active`` is sorted, so a requested row's position is its insertion point.
+    keep = np.searchsorted(active, requested)
     for layer in range(config.l_p):
         prefix = f"evo{layer}"
         if config.variant == "evolmpnn":
@@ -368,13 +380,13 @@ def build_forward(
                 leaves[f"{prefix}.combine"],
             )
         else:
-            h = evolformer_layer(h, r_bar, leaves, prefix, config.heads)
+            # Only the last layer's output is read, and only at ``keep``.
+            last = keep if layer == config.l_p - 1 else None
+            h = evolformer_layer(h, r_bar, leaves, prefix, config.heads, rows=last)
         if not np.all(np.isfinite(h.data)):
             raise NumericsError(f"non-finite activations after evolution layer {layer}")
 
-    # ``active`` is sorted, so a requested row's position is its insertion point.
-    keep = np.searchsorted(active, requested)
-    z_p = ad.take_rows(h, keep)
+    z_p = h if config.variant == "evolformer" else ad.take_rows(h, keep)
     z_r = ad.take_rows(r_bar, keep)
     z = ad.concat_last([z_p, z_r])
     y_hat = ad.matmul(z, leaves["w_final"])

@@ -285,6 +285,19 @@ class TestBourgainEmbedding:
         assert medians[1] <= medians[0]
         assert medians[2] <= medians[1]
 
+    @pytest.mark.parametrize(
+        "base,message",
+        [
+            (np.ones((3, 5)), "base matrix must be square"),
+            ([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], "negative distances"),
+            ([[0, 1, np.nan], [1, 0, 1], [np.nan, 1, 0]], "non-finite"),
+        ],
+        ids=["not-square", "negative-base", "nan-base"],
+    )
+    def test_invalid_base_rejected(self, base, message):
+        with pytest.raises(ValueError, match=message):
+            bourgain_embedding(np.array(base, dtype=float))
+
 
 class TestLinearBaseline:
     def test_additive_landscape_is_learned_exactly(self):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from evolmpnn import autodiff as ad
+from evolmpnn import residue_encoder
 from evolmpnn.data import Graph
 from evolmpnn.evolution import (
     AnchorPolicy,
@@ -508,3 +509,42 @@ class TestEvolFormerLayer:
         expected = (pre - mu) / np.sqrt(var + 1e-8)
         expected = expected * params["evo0.ln_gain"].data + params["evo0.ln_bias"].data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_query_rows_match_rows_of_full_output(self, monkeypatch, dtype, grad):
+        # Without gradients the layer works in query blocks; 2 rows per block
+        # divides neither the 7 rows of h nor the 5 requested rows.
+        monkeypatch.setattr(residue_encoder, "_ENCODE_BLOCK_BYTES", 2 * 8 * 7)
+        rng = np.random.default_rng(8)
+        params = {
+            name: ad.Tensor(t.data.astype(dtype), requires_grad=grad)
+            for name, t in self.make_params(4, 2, 2, rng).items()
+        }
+        h = ad.Tensor(rng.normal(size=(7, 4)).astype(dtype), requires_grad=grad)
+        r_bar = ad.Tensor(rng.normal(size=(7, 4)).astype(dtype), requires_grad=grad)
+        rows = np.array([5, 0, 3, 0, 6])
+        subset = evolformer_layer(h, r_bar, params, "evo0", 2, rows=rows)
+        full = evolformer_layer(h, r_bar, params, "evo0", 2)
+        assert subset.data.dtype == dtype
+        assert subset.data.tobytes() == full.data[rows].tobytes()
+
+    def test_query_rows_gradients_match_full_output(self):
+        rng = np.random.default_rng(9)
+        rows = np.array([5, 0, 3, 0, 6])
+        weights = rng.normal(size=(len(rows), 4))
+        h = rng.normal(size=(7, 4))
+        r_bar = rng.normal(size=(7, 4))
+        grads = []
+        for subset in (True, False):
+            params = self.make_params(4, 2, 2, np.random.default_rng(10))
+            inputs = [ad.Tensor(h, requires_grad=True), ad.Tensor(r_bar, requires_grad=True)]
+            if subset:
+                out = evolformer_layer(*inputs, params, "evo0", 2, rows=rows)
+            else:
+                out = ad.take_rows(evolformer_layer(*inputs, params, "evo0", 2), rows)
+            ad.sum_over(ad.mul(out, weights)).backward()
+            leaves = {**params, "h": inputs[0], "r_bar": inputs[1]}
+            grads.append({name: t.grad for name, t in leaves.items()})
+        for name, expected in grads[1].items():
+            np.testing.assert_allclose(grads[0][name], expected, rtol=1e-12, err_msg=name)

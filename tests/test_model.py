@@ -7,6 +7,7 @@ import pytest
 
 from evolmpnn import autodiff as ad
 from evolmpnn import model as model_module
+from evolmpnn import residue_encoder
 from evolmpnn.data import (
     Family,
     LandscapeSpec,
@@ -25,6 +26,7 @@ from evolmpnn.model import (
     init_params,
     mse_loss,
 )
+from test_evaluation import paper_scale_family, traced_peak
 from test_evolution import naive_evolmpnn
 from test_residue_encoder import reference_layer
 
@@ -203,6 +205,107 @@ class TestSubsetsAndEquivariance:
         assert pred.z.dtype == np.float32
 
 
+class TestRequestedRows:
+    def setup_case(self, variant):
+        fam = tiny_family()
+        config = tiny_config(variant)
+        params = init_params(config, fam.n, seed=1)
+        graph = knn_graph(fam, k=2) if variant == "evolgnn" else None
+        return fam, config, params, graph
+
+    @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
+    @pytest.mark.parametrize(
+        "rows,bad", [([0, -1], "-1"), ([2.7], "2.7"), ([1, 4, 5], "4"), ([True], "True")]
+    )
+    def test_rows_outside_the_family_rejected(self, variant, rows, bad):
+        fam, config, params, graph = self.setup_case(variant)
+        with pytest.raises(ValueError, match=rf"row {bad} is not an integer in \[0, 4\)"):
+            forward(fam, params, config, rows=rows, graph=graph)
+
+    @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
+    def test_no_rows_give_empty_outputs(self, variant):
+        fam, config, params, graph = self.setup_case(variant)
+        pred = forward(fam, params, config, rows=[], graph=graph)
+        assert pred.rows == []
+        assert pred.y_hat.shape == (0, 1) and pred.z.shape == (0, 2 * config.d)
+        assert pred.z_p.shape == (0, config.d) and pred.z_r.shape == (0, config.d)
+
+    @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
+    def test_numpy_integer_rows_accepted(self, variant):
+        fam, config, params, graph = self.setup_case(variant)
+        pred = forward(fam, params, config, rows=np.array([3, 1]), graph=graph)
+        full = forward(fam, params, config, graph=graph)
+        assert pred.rows == [3, 1]
+        np.testing.assert_allclose(pred.y_hat, full.y_hat[[3, 1]], atol=1e-12)
+
+
+class TestEvolformerQueryRows:
+    """The last evolformer layer attends only from the requested rows."""
+
+    ROWS = [9, 2, 30, 2, 17]
+
+    def setup_case(self, dtype, l_p):
+        rng = np.random.default_rng(13)
+        spec = LandscapeSpec(
+            n=6, m=32, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=13
+        )
+        fam = synth_family(spec).family
+        config = tiny_config("evolformer", dtype=dtype, l_r=1, l_p=l_p)
+        return fam, config, init_params(config, fam.n, seed=14)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("l_p", [1, 2])
+    def test_requested_rows_are_bitwise_rows_of_the_full_forward(self, dtype, l_p):
+        fam, config, params = self.setup_case(dtype, l_p)
+        full = build_forward(fam, params, config)
+        subset = build_forward(fam, params, config, rows=self.ROWS)
+        for name in ("y_hat", "z", "z_p", "z_r"):
+            got, expected = getattr(subset, name).data, getattr(full, name).data
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected[self.ROWS].tobytes(), name
+
+    @pytest.mark.parametrize("l_p", [1, 2])
+    def test_gradients_match_the_full_forward(self, l_p):
+        fam, config, params = self.setup_case("float64", l_p)
+        targets = fam.targets[self.ROWS]
+        subset = build_forward(fam, params, config, rows=self.ROWS)
+        mse_loss(subset.y_hat, targets).backward()
+        full = build_forward(fam, params, config)
+        mse_loss(ad.take_rows(full.y_hat, self.ROWS), targets).backward()
+        expected = full.grads()
+        assert subset.grads().keys() == expected.keys()
+        for name, grad in subset.grads().items():
+            np.testing.assert_allclose(grad, expected[name], rtol=1e-12, err_msg=name)
+
+
+class TestEvolformerMemory:
+    def test_inference_forms_no_m_by_m_array(self):
+        # One float64 M x M array alone would take 537 MB here.
+        fam = paper_scale_family(8192, n=8)
+        config = ModelConfig(variant="evolformer", d=8, heads=1, l_r=1, l_p=1)
+        params = init_params(config, fam.n, seed=0)
+        pred, peak = traced_peak(lambda: forward(fam, params, config))
+        assert peak < 64e6
+        assert pred.y_hat.shape == (fam.m, 1) and np.all(np.isfinite(pred.y_hat))
+
+    def test_training_step_last_layer_attends_from_the_batch(self):
+        # Before the last layer attended only from the batch, this step
+        # peaked at about 440 MB.
+        fam = paper_scale_family(2048, n=8)
+        config = ModelConfig(variant="evolformer", d=8, heads=1, l_r=1, l_p=1)
+        params = init_params(config, fam.n, seed=0)
+        batch = list(range(0, fam.m, 64))
+
+        def step():
+            fg = build_forward(fam, params, config, rows=batch)
+            mse_loss(fg.y_hat, fam.targets[batch]).backward()
+            return fg.grads()
+
+        grads, peak = traced_peak(step)
+        assert peak < 128e6
+        assert len(batch) == 32 and all(np.all(np.isfinite(g)) for g in grads.values())
+
+
 class TestSidecarModes:
     def test_sidecar_features_flow_through(self):
         fam = tiny_family()
@@ -243,8 +346,10 @@ class TestGradientFreeInference:
         graph = knn_graph(fam, k=3) if variant == "evolgnn" else None
         kw = dict(rows=rows, train_ids=train_ids, graph=graph)
 
-        # Blocks of 3 rows, which divides no active row count here.
-        monkeypatch.setattr(model_module, "_ENCODE_BLOCK_BYTES", 3 * 8 * fam.n**2)
+        # Blocks of 5 proteins, which divides no active row count here, and
+        # of 5 evolformer query rows, which divides neither M nor the rows.
+        monkeypatch.setattr(residue_encoder, "_ENCODE_BLOCK_BYTES", 5 * 8 * fam.n**2)
+        assert residue_encoder.block_rows(fam.m) == 5 and fam.m % 5 and len(rows) % 5
         encoded_rows = []
         attention = model_module.attention_layer
 
@@ -252,9 +357,21 @@ class TestGradientFreeInference:
             encoded_rows.append(x.shape[0])
             return attention(x, *args, **kwargs)
 
+        query_rows = []
+        softmax = ad.softmax_last
+
+        def spying(logits):
+            if logits.shape[-1] == fam.m:
+                query_rows.append(logits.shape[0])
+            return softmax(logits)
+
         monkeypatch.setattr(model_module, "attention_layer", counting)
+        monkeypatch.setattr(ad, "softmax_last", spying)
         pred = forward(fam, params, config, **kw)
-        assert max(encoded_rows) == 3 and min(encoded_rows) < 3
+        monkeypatch.setattr(ad, "softmax_last", softmax)
+        assert max(encoded_rows) == 5 and min(encoded_rows) < 5
+        if variant == "evolformer":
+            assert max(query_rows) == 5 and min(query_rows) < 5
 
         fg = build_forward(fam, params, config, **kw)
         for got, expected in zip(

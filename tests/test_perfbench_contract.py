@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evolmpnn import data, evaluation, model, training
+from evolmpnn import data, evaluation, residue_encoder, training
 from evolmpnn.data import LandscapeSpec, split_lambda_vs_rest, synth_family
 from evolmpnn.model import ModelConfig, init_params
 
@@ -76,12 +76,33 @@ def test_tracer_times_graph_layers(monkeypatch):
         assert metrics[name] > 0, name
 
 
+def test_tracer_times_evolformer_apart_from_residue_layers(monkeypatch):
+    fam, split = small_task()
+    config = ModelConfig(variant="evolformer", d=8, heads=2, l_r=2, l_p=2)
+    tracer = load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        params, _ = training.train(
+            fam, split, config, training.TrainConfig(epochs=1, batch_size=8)
+        )
+        evaluation.evaluate(fam, split, params, config)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.per_layer()
+    assert metrics["evolution.evolformer_layer_s"] > 0
+    # Every forward encodes this family in one block of l_r residue layers;
+    # the evolformer's own attention stays inside its layer's span.
+    forwards = metrics["model.forward_calls"]
+    assert forwards > 0
+    assert metrics["residue_encoder.attention_calls"] == config.l_r * forwards
+
+
 def test_tracer_times_blocked_inference(monkeypatch):
     fam, split = small_task()
     config = ModelConfig(variant="evolmpnn", d=8, heads=2, l_r=1, l_p=1)
     params = init_params(config, fam.n)
     # Several row blocks, each of which must reach the patched residue layer.
-    monkeypatch.setattr(model, "_ENCODE_BLOCK_BYTES", 5 * 8 * fam.n**2)
+    monkeypatch.setattr(residue_encoder, "_ENCODE_BLOCK_BYTES", 5 * 8 * fam.n**2)
     tracer = load_tracer(monkeypatch).Tracer()
     tracer.install()
     try:
