@@ -363,7 +363,8 @@ class Graph:
 
 
 # Bytes per row block of the all-pairs distance helpers (K-NN, Hamming
-# matrix, distortion). Blocks that stay near the CPU caches ran fastest.
+# matrix, distortion) and per edge block of ``autodiff.neighbor_sum``.
+# Blocks that stay near the CPU caches ran fastest.
 _BLOCK_BYTES = 4 << 20
 
 

@@ -273,8 +273,8 @@ def bourgain_embedding(
     )
     out = np.empty((m, k), dtype=np.float64)
     for j, s in enumerate(sets):
-        members = [int(rid) for rid in s.member_ids]
-        out[:, j] = base[:, members].min(axis=1) / k
+        # Positions into ``ids``, which are the base matrix's columns.
+        out[:, j] = base[:, s.member_ids].min(axis=1) / k
     return out
 
 

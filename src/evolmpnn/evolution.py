@@ -18,8 +18,13 @@ staying frozen at evaluation:
   form of a uniform draw falling below p_j.
 
 Inclusion probabilities follow 1/2^j but cycle once j exceeds log2(M),
-since deeper sets would otherwise be empty almost surely; every set that
-still comes out empty falls back to the wild type.
+since deeper sets would otherwise be empty almost surely. A set that still
+comes out empty falls back to one protein: the wild type when it is in the
+pool, and otherwise the pool's smallest id.
+
+Sets hold positions into the pool as passed. evolmpnn sums each set's
+members, and evolgnn each node's neighbours, with the one edge-list op
+``autodiff.neighbor_sum``.
 """
 
 from __future__ import annotations
@@ -37,19 +42,21 @@ from .residue_encoder import attention_layer
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """One sampled landmark: set index, member ids, inclusion probability.
+    """One sampled landmark: set index, members, inclusion probability.
 
-    ``fallback_used`` marks sets whose Bernoulli draw came out empty and
-    were replaced; statistics over raw draw sizes should treat these as 0.
+    ``member_ids`` is an ascending int64 array of positions into the pool
+    the set was sampled from. ``fallback_used`` marks sets whose Bernoulli
+    draw came out empty and were replaced; statistics over raw draw sizes
+    should treat these as 0.
     """
 
     index: int
-    member_ids: tuple[str, ...]
+    member_ids: np.ndarray
     inclusion_prob: float
     fallback_used: bool = False
 
     def __post_init__(self):
-        if not self.member_ids:
+        if len(self.member_ids) == 0:
             raise ValueError("anchor sets must be non-empty")
         if not 0 < self.inclusion_prob <= 1:
             raise ValueError("inclusion probability must be in (0, 1]")
@@ -114,11 +121,14 @@ def sample_anchor_sets(
 ) -> list[AnchorSet]:
     """Draw the anchor sets for one evolution layer.
 
+    Each set's ``member_ids`` are positions into ``train_ids`` as passed.
     Membership is keyed on protein ids, so any reordering of ``train_ids``
-    yields the same sets. ``draw`` distinguishes training steps; evaluation
-    uses draw 0. Sets are drawn one at a time, so memory stays O(M).
+    yields the same sets of ids. ``draw`` distinguishes training steps;
+    evaluation uses draw 0. Sets are drawn one at a time, so memory stays
+    O(M). An empty set falls back to ``fallback_id`` when it is in the pool,
+    and otherwise to the pool's smallest id.
     """
-    pool = sorted(train_ids)
+    pool = list(train_ids)
     if not pool:
         raise ValueError("cannot sample anchors from an empty training pool")
     m = len(pool)
@@ -126,9 +136,8 @@ def sample_anchor_sets(
     if k < 1:
         raise ValueError("anchor count must be >= 1")
     layer_key = layer_index if policy.resample_per_layer else 0
-    fallback = fallback_id if fallback_id in set(pool) else pool[0]
+    fallback = np.array([pool.index(fallback_id if fallback_id in pool else min(pool))])
     keys = _id_keys(pool)
-    pool_ids = np.array(pool, dtype=object)
     with np.errstate(over="ignore"):
         base = np.zeros(1, dtype=np.uint64)
         for part in (policy.seed, draw, layer_key):
@@ -138,10 +147,10 @@ def sample_anchor_sets(
         for j in range(1, k + 1):
             e = _inclusion_exponent(j, m)
             hit = (_mix(keys ^ salts[j - 1]) >> np.uint64(64 - e)) == 0
-            members = tuple(pool_ids[hit].tolist())
-            fell_back = not members
+            members = np.flatnonzero(hit)
+            fell_back = len(members) == 0
             if fell_back:
-                members = (fallback,)
+                members = fallback
             sets.append(
                 AnchorSet(
                     index=j,
@@ -153,18 +162,6 @@ def sample_anchor_sets(
     return sets
 
 
-def membership_matrix(
-    anchor_sets: list[AnchorSet], row_of: dict[str, int], n_rows: int, dtype=np.float64
-) -> np.ndarray:
-    """(k, n_rows) matrix whose row j averages over set j's members."""
-    mat = np.zeros((len(anchor_sets), n_rows), dtype=dtype)
-    for r, s in enumerate(anchor_sets):
-        for rid in s.member_ids:
-            mat[r, row_of[rid]] = 1.0
-        mat[r] /= len(s.member_ids)
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # Differentiable layers
 # ---------------------------------------------------------------------------
@@ -173,19 +170,26 @@ def membership_matrix(
 def evolmpnn_layer(
     h: ad.Tensor,
     r_bar: ad.Tensor,
-    members: np.ndarray,
+    members: list[np.ndarray],
     w_combine: ad.Tensor,
 ) -> ad.Tensor:
     """Anchor-set message passing: mean message, concat, combine.
 
-    ``members`` is the (k, M) normalized membership matrix. The mean over
-    anchor messages H_j * (r_i - a_j) distributes into two rank-1 terms,
-    which avoids materializing the (M, k, d) message block; tests pin this
-    against the literal per-anchor loop.
+    ``members`` holds one ascending index array per anchor set, into the
+    rows of ``h`` and ``r_bar``. Each set's mean embedding and mean residue
+    summary is a weighted edge sum (set j <- member i, weight 1/|S_j| in the
+    model dtype), so it costs O(sum |S_j| * d) with no k x M matrix; the
+    sums are bitwise equal to the product with the dense membership
+    matrix. The mean over anchor messages H_j * (r_i - a_j) distributes
+    into two rank-1 terms, which avoids materializing the (M, k, d) message
+    block; tests pin this against the literal per-anchor loop.
     """
-    member_const = ad.constant(members.astype(h.data.dtype))
-    anchor_h = ad.matmul(member_const, h)
-    anchor_r = ad.matmul(member_const, r_bar)
+    sizes = np.array([len(rows) for rows in members])
+    dst = np.repeat(np.arange(len(members)), sizes)
+    src = np.concatenate(members)
+    weight = np.repeat((1.0 / sizes).astype(h.data.dtype), sizes)
+    anchor_h = ad.neighbor_sum(h, dst, src, len(members), weight)
+    anchor_r = ad.neighbor_sum(r_bar, dst, src, len(members), weight)
     mean_h = ad.mean_over(anchor_h, axis=0)
     mean_cross = ad.mean_over(ad.mul(anchor_h, anchor_r), axis=0)
     h_hat = ad.sub(ad.mul(r_bar, mean_h), mean_cross)

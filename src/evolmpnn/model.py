@@ -8,8 +8,12 @@ protein embedding and the mean-pooled residues.
 The anchor-based variant encodes the rows it is asked about plus the union
 of every layer's anchor members. Every cycle of inclusion probabilities has
 a p = 1/2 set, so that union is in practice the whole training pool: a
-training batch encodes the batch plus the pool. The graph and all-pairs
-variants are transductive and always compute over every record.
+training batch encodes the batch plus the pool. Anchor sets come back as
+positions into the pool, which ``build_forward`` maps to family rows once;
+the layer sums each set's rows with the edge-list op
+``autodiff.neighbor_sum``, in edge blocks, so no k x M membership matrix is
+formed. The graph and all-pairs variants are transductive and always
+compute over every record.
 
 The all-pairs variant's last evolution layer attends only from the rows it
 is asked about, so a training step's last layer is O(B * M).
@@ -37,7 +41,6 @@ from .embeddings import (
 )
 from .evolution import (
     AnchorPolicy,
-    membership_matrix,
     evolgnn_layer,
     evolformer_layer,
     evolmpnn_layer,
@@ -292,6 +295,20 @@ def _check_rows(rows, m: int) -> list[int]:
     return checked
 
 
+def _pool_rows(family: Family, train_ids) -> np.ndarray:
+    """Ascending family rows of the anchor pool, whose ids must be unique
+    family ids."""
+    rows: dict[str, int] = {}
+    for rid in train_ids:
+        if rid in rows:
+            raise ValueError(f"train_ids repeats the id {rid!r}")
+        try:
+            rows[rid] = family.index_of(rid)
+        except KeyError:
+            raise ValueError(f"train_ids holds {rid!r}, which is not a family id") from None
+    return np.sort(np.fromiter(rows.values(), dtype=np.int64, count=len(rows)))
+
+
 def build_forward(
     family: Family,
     params: ModelParams,
@@ -312,7 +329,8 @@ def build_forward(
     memory is then O(block * N^2 + block * M + M * d).
 
     ``rows`` are family row indices, in any order and possibly repeated;
-    each must be an integer in [0, M).
+    each must be an integer in [0, M). ``train_ids``, the anchor pool
+    (default: every record), must be unique family ids.
     """
     dtype = config.np_dtype
     leaves = {
@@ -322,7 +340,9 @@ def build_forward(
     requested = list(range(family.m)) if rows is None else _check_rows(rows, family.m)
 
     if config.variant == "evolmpnn":
-        pool_ids = list(train_ids) if train_ids is not None else list(family.ids)
+        pool_rows = _pool_rows(family, family.ids if train_ids is None else train_ids)
+        # Sampled in row order, each set's positions map to ascending rows.
+        pool_ids = [family.ids[row] for row in pool_rows]
         policy = config.anchor_policy()
         anchor_sets_per_layer = [
             sample_anchor_sets(
@@ -330,14 +350,10 @@ def build_forward(
             )
             for layer in range(config.l_p)
         ]
-        member_rows = {
-            family.index_of(rid)
-            for sets in anchor_sets_per_layer
-            for s in sets
-            for rid in s.member_ids
-        }
-        active = sorted(set(requested) | member_rows)
-        position_of = {family.ids[row]: i for i, row in enumerate(active)}
+        used = np.concatenate([s.member_ids for sets in anchor_sets_per_layer for s in sets])
+        active = np.union1d(np.array(requested, dtype=np.int64), pool_rows[used])
+        # Only members are looked up, and every member row is active.
+        active_of_pool = np.searchsorted(active, pool_rows)
     else:
         if config.variant == "evolgnn":
             if graph is None:
@@ -346,7 +362,7 @@ def build_forward(
                 raise ValueError(
                     f"graph has {graph.n_nodes} nodes but the family has {family.m} records"
                 )
-        active = list(range(family.m))
+        active = np.arange(family.m)
     # Each protein is encoded alone. Inference encodes row blocks, which
     # bounds the residue stack's memory; training keeps one block, because
     # summing weight gradients over blocks would reorder their float sums.
@@ -366,9 +382,7 @@ def build_forward(
     for layer in range(config.l_p):
         prefix = f"evo{layer}"
         if config.variant == "evolmpnn":
-            members = membership_matrix(
-                anchor_sets_per_layer[layer], position_of, len(active), dtype=dtype
-            )
+            members = [active_of_pool[s.member_ids] for s in anchor_sets_per_layer[layer]]
             h = evolmpnn_layer(h, r_bar, members, leaves[f"{prefix}.combine"])
         elif config.variant == "evolgnn":
             h = evolgnn_layer(

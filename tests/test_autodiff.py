@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from evolmpnn import autodiff as ad
+from evolmpnn import data
 from evolmpnn.data import ALPHABET, Family, ProteinRecord, knn_graph
 
 
@@ -149,6 +150,52 @@ class TestNeighborSum:
         dense_grad = np.einsum("ij,jk->ik", adj.T, g, optimize=False)
         assert out.data.dtype == dtype and out.data.tobytes() == dense.tobytes()
         assert leaf.grad.tobytes() == dense_grad.tobytes()
+
+    @staticmethod
+    def weighted_edges(n_out, n_in, seed, dtype=np.float64):
+        """Random (dst, src) pairs in lexicographic order, with weights."""
+        rng = np.random.default_rng(seed)
+        dst, src = np.argwhere(rng.random((n_out, n_in)) < 0.5).T
+        return dst, src, rng.uniform(0.1, 2.0, size=len(dst)).astype(dtype)
+
+    @pytest.mark.parametrize("n_out", [2, 6, 9])
+    def test_grad_weighted_with_other_output_rows(self, n_out):
+        dst, src, weight = self.weighted_edges(n_out, 6, seed=n_out)
+        check_op(lambda t: ad.neighbor_sum(t[0], dst, src, n_out, weight), 1, [(6, 3)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_out", [5, 40, 90])
+    def test_weighted_bitwise_equal_to_dense_einsum(self, n_out, dtype):
+        dst, src, weight = self.weighted_edges(n_out, 40, seed=n_out, dtype=dtype)
+        mat = np.zeros((n_out, 40), dtype=dtype)
+        mat[dst, src] = weight
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((40, 7)).astype(dtype)
+        g = rng.standard_normal((n_out, 7)).astype(dtype)
+        leaf = ad.Tensor(x, requires_grad=True)
+        out = ad.neighbor_sum(leaf, dst, src, n_out, weight)
+        ad.sum_over(ad.mul(out, ad.constant(g))).backward()
+        dense = np.einsum("ij,jk->ik", mat, x, optimize=False)
+        dense_grad = np.einsum("ij,jk->ik", mat.T, g, optimize=False)
+        assert out.data.dtype == dtype and out.data.tobytes() == dense.tobytes()
+        assert leaf.grad.tobytes() == dense_grad.tobytes()
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_edge_blocks_do_not_change_sums(self, monkeypatch, weighted):
+        dst, src, weight = self.weighted_edges(30, 50, seed=4)
+        weight = weight if weighted else None
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((50, 7))
+        g = rng.standard_normal((30, 7))
+        results = []
+        for budget in (data._BLOCK_BYTES, 7 * 32 * 13):  # one block, then 13 edges
+            monkeypatch.setattr(data, "_BLOCK_BYTES", budget)
+            leaf = ad.Tensor(x, requires_grad=True)
+            out = ad.neighbor_sum(leaf, dst, src, 30, weight)
+            ad.sum_over(ad.mul(out, ad.constant(g))).backward()
+            results.append((out.data.tobytes(), leaf.grad.tobytes()))
+        assert len(dst) > 13 * 30  # many blocks in the second run
+        assert results[0] == results[1]
 
 
 class TestSoftmaxAndNorm:

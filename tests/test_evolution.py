@@ -20,7 +20,6 @@ from evolmpnn.evolution import (
     evolformer_layer,
     evolmpnn_layer,
     inclusion_probability,
-    membership_matrix,
     sample_anchor_sets,
 )
 from test_residue_encoder import layer_params, reference_layer
@@ -43,50 +42,66 @@ class TestAnchorCount:
         assert min(probs) >= 1.0 / m
 
 
+def id_sets(ids, sets):
+    """Each set's members as a sorted tuple of ids."""
+    return [tuple(sorted(ids[i] for i in s.member_ids)) for s in sets]
+
+
 class TestSampling:
     def test_order_independence(self):
         ids = [f"p{i}" for i in range(50)]
         policy = AnchorPolicy(seed=3)
         a = sample_anchor_sets(ids, policy, layer_index=0)
-        b = sample_anchor_sets(list(reversed(ids)), policy, layer_index=0)
-        assert [s.member_ids for s in a] == [s.member_ids for s in b]
+        reordered = list(reversed(ids))
+        b = sample_anchor_sets(reordered, policy, layer_index=0)
+        assert id_sets(ids, a) == id_sets(reordered, b)
 
     def test_members_come_from_training_pool(self):
-        ids = [f"p{i}" for i in range(40)]
+        # As ascending positions into the pool as passed.
+        ids = [f"p{i}" for i in np.random.default_rng(1).permutation(40)]
         for s in sample_anchor_sets(ids, AnchorPolicy(seed=1), 0):
-            assert set(s.member_ids) <= set(ids)
+            assert s.member_ids.dtype == np.int64
+            assert np.all(np.diff(s.member_ids) > 0)
+            assert 0 <= s.member_ids[0] and s.member_ids[-1] < len(ids)
 
     def test_layers_resample_by_default(self):
         ids = [f"p{i}" for i in range(64)]
         policy = AnchorPolicy(seed=0)
         a = sample_anchor_sets(ids, policy, layer_index=0)
         b = sample_anchor_sets(ids, policy, layer_index=1)
-        assert [s.member_ids for s in a] != [s.member_ids for s in b]
+        assert id_sets(ids, a) != id_sets(ids, b)
 
     def test_resampling_disabled_shares_sets_across_layers(self):
         ids = [f"p{i}" for i in range(64)]
         policy = AnchorPolicy(seed=0, resample_per_layer=False)
         a = sample_anchor_sets(ids, policy, layer_index=0)
         b = sample_anchor_sets(ids, policy, layer_index=5)
-        assert [s.member_ids for s in a] == [s.member_ids for s in b]
+        assert id_sets(ids, a) == id_sets(ids, b)
 
     def test_draw_refreshes_sets(self):
         ids = [f"p{i}" for i in range(64)]
         policy = AnchorPolicy(seed=0)
         a = sample_anchor_sets(ids, policy, 0, draw=0)
         b = sample_anchor_sets(ids, policy, 0, draw=1)
-        assert [s.member_ids for s in a] != [s.member_ids for s in b]
+        assert id_sets(ids, a) != id_sets(ids, b)
 
     def test_empty_set_falls_back_to_wild_type(self):
         # Tiny pool and deep sets: some Bernoulli draws will come out empty.
-        ids = ["wt", "a", "b"]
+        ids = ["a", "wt", "b"]
         policy = AnchorPolicy(k=64, seed=2)
         sets = sample_anchor_sets(ids, policy, 0, fallback_id="wt")
-        assert all(s.member_ids for s in sets)
+        assert all(len(s.member_ids) for s in sets)
         fallen = [s for s in sets if s.fallback_used]
         assert fallen  # fallback exercised
-        assert all(s.member_ids == ("wt",) for s in fallen)
+        assert all(s.member_ids.tolist() == [1] for s in fallen)
         assert all(s.raw_size == 0 for s in fallen)
+
+    def test_empty_set_falls_back_to_smallest_id_without_wild_type(self):
+        ids = ["c", "b", "x"]
+        sets = sample_anchor_sets(ids, AnchorPolicy(k=64, seed=2), 0, fallback_id="wt")
+        fallen = [s for s in sets if s.fallback_used]
+        assert fallen
+        assert all(s.member_ids.tolist() == [1] for s in fallen)  # "b"
 
     def test_binomial_mean_of_set_sizes(self):
         # Set 1 has inclusion probability 1/2: over 200 draws of M=1024 the
@@ -107,7 +122,8 @@ class TestSampling:
         ids = [f"p{i}" for i in range(50)]
         sets = sample_anchor_sets(ids, AnchorPolicy(seed=seed), layer, draw, "p7")
         expected = reference_anchor_sets(ids, seed, draw, layer, anchor_count(50), "p7")
-        assert [(s.member_ids, s.fallback_used) for s in sets] == expected
+        got = zip(id_sets(ids, sets), (s.fallback_used for s in sets))
+        assert list(got) == expected
         assert any(fell_back for _, fell_back in expected)  # fallback compared too
 
     def test_negative_seed_wraps_modulo_2_64(self):
@@ -115,8 +131,8 @@ class TestSampling:
         neg = sample_anchor_sets(ids, AnchorPolicy(seed=-1), 0)
         wrapped = sample_anchor_sets(ids, AnchorPolicy(seed=2**64 - 1), 0)
         zero = sample_anchor_sets(ids, AnchorPolicy(seed=0), 0)
-        assert [s.member_ids for s in neg] == [s.member_ids for s in wrapped]
-        assert [s.member_ids for s in neg] != [s.member_ids for s in zero]
+        assert id_sets(ids, neg) == id_sets(ids, wrapped)
+        assert id_sets(ids, neg) != id_sets(ids, zero)
 
     def test_large_pool_sizes_follow_probabilities_in_linear_memory(self):
         # Paper-scale pool: M = 82,583 and k = 289, so a (k x M) uint64 block
@@ -139,14 +155,6 @@ class TestSampling:
             n = len(sizes) * m
             z = (sum(sizes) - n * p) / math.sqrt(n * p * (1 - p))
             assert abs(z) <= 4.0, (p, sizes)
-
-    def test_membership_matrix_rows_average(self):
-        sets = [
-            AnchorSet(1, ("a", "c"), 0.5),
-            AnchorSet(2, ("b",), 0.25),
-        ]
-        mat = membership_matrix(sets, {"a": 0, "b": 1, "c": 2}, 3)
-        np.testing.assert_allclose(mat, [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
 
 
 _MASK64 = (1 << 64) - 1
@@ -235,15 +243,18 @@ class TestReferenceOps:
             anchor_message(np.ones(3), np.ones(4))
 
 
-def naive_evolmpnn(h, residues, sets, row_of, w):
-    """Literal per-anchor recomputation: pooled diffs, messages, mean, combine."""
+def naive_evolmpnn(h, residues, sets, w):
+    """Literal per-anchor recomputation: pooled diffs, messages, mean, combine.
+
+    Each set's ``member_ids`` index the rows of ``h`` and ``residues``.
+    """
     m = h.shape[0]
     out = np.empty_like(h)
     h_hat = np.zeros_like(h)
     for i in range(m):
         messages = []
         for s in sets:
-            rows = [row_of[rid] for rid in s.member_ids]
+            rows = s.member_ids
             diff = evolution_diff(residues[i], residues[rows])
             h_anchor = h[rows].mean(axis=0)
             messages.append(anchor_message(h_anchor, diff))
@@ -253,60 +264,65 @@ def naive_evolmpnn(h, residues, sets, row_of, w):
     return out
 
 
+def dense_evolmpnn(h, r_bar, members, w_combine):
+    """The layer as a product with the dense (k, M) membership matrix, whose
+    row j holds 1/|S_j| at set j's members in the model dtype."""
+    mat = np.zeros((len(members), h.shape[0]), dtype=h.data.dtype)
+    for j, rows in enumerate(members):
+        mat[j, rows] = 1.0
+        mat[j] /= len(rows)
+    anchor_h = ad.matmul(ad.constant(mat), h)
+    anchor_r = ad.matmul(ad.constant(mat), r_bar)
+    mean_h = ad.mean_over(anchor_h, axis=0)
+    mean_cross = ad.mean_over(ad.mul(anchor_h, anchor_r), axis=0)
+    h_hat = ad.sub(ad.mul(r_bar, mean_h), mean_cross)
+    return ad.matmul(ad.concat_last([h, h_hat]), w_combine)
+
+
 class TestEvolMpnnLayer:
     def make_case(self, m=5, n=3, d=4, k=3, seed=0):
         rng = np.random.default_rng(seed)
         ids = [f"p{i}" for i in range(m)]
-        row_of = {rid: i for i, rid in enumerate(ids)}
         sets = sample_anchor_sets(ids, AnchorPolicy(k=k, seed=seed), 0)
         h = rng.normal(size=(m, d))
         residues = rng.normal(size=(m, n, d))
         w = rng.normal(size=(2 * d, d))
-        return ids, row_of, sets, h, residues, w
+        return sets, h, residues, w
+
+    def layer(self, h, r_bar, sets, w):
+        members = [s.member_ids for s in sets]
+        return evolmpnn_layer(
+            ad.constant(h), ad.constant(r_bar), members, ad.constant(w)
+        ).data
 
     def test_matches_naive_loop(self):
-        ids, row_of, sets, h, residues, w = self.make_case()
-        members = membership_matrix(sets, row_of, len(ids))
-        out = evolmpnn_layer(
-            ad.constant(h),
-            ad.constant(residues.mean(axis=1)),
-            members,
-            ad.constant(w),
-        )
+        sets, h, residues, w = self.make_case()
         np.testing.assert_allclose(
-            out.data, naive_evolmpnn(h, residues, sets, row_of, w), atol=1e-12
+            self.layer(h, residues.mean(axis=1), sets, w),
+            naive_evolmpnn(h, residues, sets, w),
+            atol=1e-12,
         )
 
     def test_hand_sized_case(self):
-        ids, row_of, sets, h, residues, w = self.make_case(m=3, n=2, d=2, k=2, seed=4)
-        members = membership_matrix(sets, row_of, 3)
-        out = evolmpnn_layer(
-            ad.constant(h), ad.constant(residues.mean(axis=1)), members, ad.constant(w)
-        )
+        sets, h, residues, w = self.make_case(m=3, n=2, d=2, k=2, seed=4)
         np.testing.assert_allclose(
-            out.data, naive_evolmpnn(h, residues, sets, row_of, w), atol=1e-12
+            self.layer(h, residues.mean(axis=1), sets, w),
+            naive_evolmpnn(h, residues, sets, w),
+            atol=1e-12,
         )
 
     def test_passthrough_block_identity(self):
-        ids, row_of, sets, h, residues, _ = self.make_case(d=4)
+        sets, h, _, _ = self.make_case(d=4)
         # Zero residues mean zero messages; [I;0] combine returns H unchanged.
-        members = membership_matrix(sets, row_of, len(ids))
         w = np.vstack([np.eye(4), np.zeros((4, 4))])
-        out = evolmpnn_layer(
-            ad.constant(h), ad.constant(np.zeros((len(ids), 4))), members, ad.constant(w)
-        )
-        np.testing.assert_allclose(out.data, h, atol=1e-12)
+        out = self.layer(h, np.zeros((len(h), 4)), sets, w)
+        np.testing.assert_allclose(out, h, atol=1e-12)
 
     def test_single_anchor_mean_is_that_message(self):
-        ids, row_of, sets, h, residues, w = self.make_case(k=1, seed=2)
-        members = membership_matrix(sets, row_of, len(ids))
-        r_bar = residues.mean(axis=1)
-        out = evolmpnn_layer(
-            ad.constant(h), ad.constant(r_bar), members, ad.constant(w)
-        ).data
-        s = sets[0]
-        rows = [row_of[rid] for rid in s.member_ids]
-        for i in range(len(ids)):
+        sets, h, residues, w = self.make_case(k=1, seed=2)
+        out = self.layer(h, residues.mean(axis=1), sets, w)
+        rows = sets[0].member_ids
+        for i in range(len(h)):
             msg = anchor_message(
                 h[rows].mean(axis=0), evolution_diff(residues[i], residues[rows])
             )
@@ -315,30 +331,19 @@ class TestEvolMpnnLayer:
             )
 
     def test_anchor_order_irrelevant(self):
-        ids, row_of, sets, h, residues, w = self.make_case(k=4, seed=6)
+        sets, h, residues, w = self.make_case(k=4, seed=6)
         r_bar = residues.mean(axis=1)
-        fwd = evolmpnn_layer(
-            ad.constant(h),
-            ad.constant(r_bar),
-            membership_matrix(sets, row_of, len(ids)),
-            ad.constant(w),
-        ).data
-        rev = evolmpnn_layer(
-            ad.constant(h),
-            ad.constant(r_bar),
-            membership_matrix(list(reversed(sets)), row_of, len(ids)),
-            ad.constant(w),
-        ).data
-        np.testing.assert_allclose(fwd, rev, atol=1e-12)
+        np.testing.assert_allclose(
+            self.layer(h, r_bar, sets, w),
+            self.layer(h, r_bar, list(reversed(sets)), w),
+            atol=1e-12,
+        )
 
     def test_identical_sequences_get_identical_updates(self):
-        ids, row_of, sets, h, residues, w = self.make_case(seed=8)
+        sets, h, residues, w = self.make_case(seed=8)
         h[1] = h[0]
         residues[1] = residues[0]
-        members = membership_matrix(sets, row_of, len(ids))
-        out = evolmpnn_layer(
-            ad.constant(h), ad.constant(residues.mean(axis=1)), members, ad.constant(w)
-        ).data
+        out = self.layer(h, residues.mean(axis=1), sets, w)
         np.testing.assert_allclose(out[0], out[1], atol=1e-13)
 
     def test_anchor_of_copies_of_self_sends_zero_message(self):
@@ -350,6 +355,55 @@ class TestEvolMpnnLayer:
         np.testing.assert_allclose(
             anchor_message(rng.normal(size=3), diff), 0.0, atol=1e-15
         )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [390, 2000])
+    def test_bitwise_equal_to_dense_membership_product(self, m, dtype):
+        # Sampled from a shuffled pool, then mapped to rows through it, as
+        # build_forward does with train_ids out of row order.
+        rng = np.random.default_rng(m)
+        d = 6
+        rows_of_pool = rng.permutation(m)
+        ids = [f"v{i}" for i in rows_of_pool]
+        sets = sample_anchor_sets(ids, AnchorPolicy(seed=3), 0)
+        members = [np.sort(rows_of_pool[s.member_ids]) for s in sets]
+        arrays = [
+            rng.standard_normal(shape).astype(dtype)
+            for shape in ((m, d), (m, d), (2 * d, d), (m, d))
+        ]
+        results = []
+        for layer in (evolmpnn_layer, dense_evolmpnn):
+            h, r_bar, w = (ad.Tensor(a, requires_grad=True) for a in arrays[:3])
+            out = layer(h, r_bar, members, w)
+            ad.sum_over(ad.mul(out, ad.constant(arrays[3]))).backward()
+            results.append([t.tobytes() for t in (out.data, h.grad, r_bar.grad, w.grad)])
+        assert out.data.dtype == dtype
+        assert results[0] == results[1]
+
+    def test_paper_scale_pool_in_edge_memory(self):
+        # At M = 82,583 and k = 289 the dense float64 membership matrix
+        # alone takes 191 MB, and the product through it peaks at 451 MB.
+        # The edge sums hold 1.4 M (set, member) pairs as three 11 MB arrays;
+        # the graph's M x d activations and gradients take most of the rest.
+        m, d = 82583, 8
+        rng = np.random.default_rng(13)
+        ids = [f"v{i}" for i in range(m)]
+        members = [s.member_ids for s in sample_anchor_sets(ids, AnchorPolicy(seed=2), 0)]
+        assert len(members) == 289
+        leaves = [
+            ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+            for shape in ((m, d), (m, d), (2 * d, d))
+        ]
+        tracemalloc.start()
+        try:
+            out = evolmpnn_layer(leaves[0], leaves[1], members, leaves[2])
+            ad.sum_over(out).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128e6, peak
+        assert out.shape == (m, d)
+        assert all(np.all(np.isfinite(leaf.grad)) for leaf in leaves)
 
 
 def naive_evolgnn(h, r_bar, adj, w_n, w_g, w_c):

@@ -124,8 +124,7 @@ class TestAgainstStraightLineOracle:
         sets = sample_anchor_sets(
             fam.ids, config.anchor_policy(), 0, draw=0, fallback_id=fam.wild_type.id
         )
-        row_of = {rid: i for i, rid in enumerate(fam.ids)}
-        h = naive_evolmpnn(h, r, sets, row_of, t["evo0.combine"])
+        h = naive_evolmpnn(h, r, sets, t["evo0.combine"])
         z = np.concatenate([h, r_bar], axis=1)
         return z @ t["w_final"], z
 
@@ -237,6 +236,44 @@ class TestRequestedRows:
         full = forward(fam, params, config, graph=graph)
         assert pred.rows == [3, 1]
         np.testing.assert_allclose(pred.y_hat, full.y_hat[[3, 1]], atol=1e-12)
+
+
+class TestTrainIds:
+    """The anchor pool must be unique family ids, in any order."""
+
+    def setup_case(self):
+        fam = tiny_family()
+        config = tiny_config()
+        return fam, config, init_params(config, fam.n, seed=1)
+
+    @pytest.mark.parametrize(
+        "train_ids,message",
+        [
+            (["p1", "p2", "p1", "p3"], "train_ids repeats the id 'p1'"),
+            (["p1", "p1", "zz"], "train_ids repeats the id 'p1'"),
+            (["p1", "zz", "p1"], "train_ids holds 'zz', which is not a family id"),
+        ],
+    )
+    def test_first_bad_id_named(self, train_ids, message):
+        fam, config, params = self.setup_case()
+        with pytest.raises(ValueError, match=message):
+            forward(fam, params, config, train_ids=train_ids)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_order_of_pool_does_not_change_outputs(self, dtype):
+        # Anchor means add their members in row order, whatever the pool order.
+        rng = np.random.default_rng(15)
+        spec = LandscapeSpec(
+            n=6, m=200, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=15
+        )
+        fam = synth_family(spec).family
+        config = tiny_config(dtype=dtype, d=8, l_p=2)
+        params = init_params(config, fam.n, seed=16)
+        pool = [fam.ids[i] for i in rng.permutation(fam.m)[:150]]
+        a = forward(fam, params, config, train_ids=pool)
+        b = forward(fam, params, config, train_ids=sorted(pool, key=fam.index_of))
+        assert a.y_hat.tobytes() == b.y_hat.tobytes()
+        assert a.z.tobytes() == b.z.tobytes()
 
 
 class TestEvolformerQueryRows:

@@ -54,6 +54,8 @@ def test_tracer_counts_training_layers(monkeypatch):
         "model.forward_calls",
         "residue_encoder.attention_calls",
         "evolution.sample_calls",
+        "evolution.anchor_set_size_mean",
+        "evolution.evolmpnn_layer_s",
     ):
         assert metrics[name] > 0, name
 
