@@ -73,6 +73,8 @@ class Tensor:
         self.grad += g
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into each leaf's ``grad``; an interior
+        node's gradient is freed once its backward has run."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         order = _toposort(self)
@@ -80,6 +82,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def constant(x) -> Tensor:

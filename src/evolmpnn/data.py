@@ -30,11 +30,11 @@ class SplitError(ValueError):
 
 @dataclass(frozen=True)
 class ProteinRecord:
-    """One mutant: aligned sequence plus its measured property values."""
+    """One mutant: aligned sequence plus its measured property as a 1-tuple."""
 
     id: str
     sequence: str
-    target: tuple[float, ...]
+    target: tuple[float]
     is_wild_type: bool = False
 
 
@@ -68,21 +68,22 @@ class Family:
         if len(wt) != 1:
             raise FamilyError(f"expected exactly one wild-type record, found {len(wt)}")
         self.wild_type_index = wt[0]
-        theta = {len(r.target) for r in self.records}
-        if len(theta) != 1:
-            raise FamilyError("records disagree on target dimension")
         for r in self.records:
             bad = set(r.sequence) - set(ALPHABET)
             if bad:
                 raise FamilyError(f"invalid residue {sorted(bad)} in record {r.id!r}")
-            if not all(math.isfinite(t) for t in r.target):
+            if len(r.target) != 1:
+                raise FamilyError(
+                    f"record {r.id!r} has {len(r.target)} target values, expected 1"
+                )
+            if not math.isfinite(r.target[0]):
                 raise FamilyError(f"non-finite target in record {r.id!r}")
         self._ids = ids
         self._index = {rid: i for i, rid in enumerate(ids)}
         self._encoded = np.array(
             [[AA_INDEX[a] for a in r.sequence] for r in self.records], dtype=np.uint8
         )
-        self._targets = np.array([r.target for r in self.records], dtype=np.float64)
+        self._targets = np.array([r.target[0] for r in self.records], dtype=np.float64)
         for name, lead in (("protein_feats", (self.m,)), ("residue_feats", (self.m, self.n))):
             feats = getattr(self, name)
             if feats is not None and feats.shape[: len(lead)] != lead:
@@ -97,17 +98,13 @@ class Family:
         return self.records[self.wild_type_index]
 
     @property
-    def theta(self) -> int:
-        return self._targets.shape[1]
-
-    @property
     def encoded(self) -> np.ndarray:
         """Sequences as an M x N uint8 matrix of alphabet indices."""
         return self._encoded
 
     @property
     def targets(self) -> np.ndarray:
-        """Targets as an M x theta float matrix."""
+        """Targets as an M-long float64 vector, one value per record."""
         return self._targets
 
     def index_of(self, record_id: str) -> int:
@@ -186,9 +183,7 @@ def load_family(path) -> Family:
 
 
 def save_family(family: Family, path) -> None:
-    """Write a family back out in the ingestion CSV format (theta must be 1)."""
-    if family.theta != 1:
-        raise FamilyError("family CSV carries scalar targets only")
+    """Write a family back out in the ingestion CSV format."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FAMILY_HEADER)
@@ -310,9 +305,7 @@ def split_low_vs_high(
     family: Family, valid_frac: float = 0.1, seed: int = 0
 ) -> SplitAssignment:
     """Train on targets at or below the wild type's; test on the rest."""
-    if family.theta != 1:
-        raise SplitError("low-vs-high requires a scalar target")
-    y = family.targets[:, 0]
+    y = family.targets
     wt_y = y[family.wild_type_index]
     pool_rows = [i for i in range(family.m) if y[i] <= wt_y]
     if not pool_rows:

@@ -43,6 +43,15 @@ def spearman(pred, target) -> float:
     return float((rx * ry).sum() / np.sqrt((rx * rx).sum() * (ry * ry).sum()))
 
 
+def spearman_or_none(pred, target) -> float | None:
+    """Spearman's rho, or None where it is undefined (fewer than two
+    observations, or a constant input)."""
+    try:
+        return spearman(pred, target)
+    except ValueError:
+        return None
+
+
 @dataclass
 class Metrics:
     spearman: float | None
@@ -61,6 +70,16 @@ class Metrics:
         return doc
 
 
+def _metrics(preds, targets, runtime: float, groups=None) -> Metrics:
+    """Spearman and MSE of predictions against raw-scale targets."""
+    return Metrics(
+        spearman=spearman_or_none(preds, targets),
+        mse=float(np.mean((preds - targets) ** 2)),
+        by_mutation_count=groups,
+        runtime_s=runtime,
+    )
+
+
 def predict(
     family: Family,
     params: ModelParams,
@@ -70,7 +89,7 @@ def predict(
     train_ids=None,
     graph: Graph | None = None,
 ) -> np.ndarray:
-    """De-standardized model predictions for the requested rows."""
+    """Predictions for the requested rows, as a vector on the raw target scale."""
     pred = forward(
         family,
         params,
@@ -80,9 +99,7 @@ def predict(
         anchor_draw=0,
         graph=graph,
     )
-    mu = params.buffers.get("target_mean", np.zeros(config.theta))
-    sigma = params.buffers.get("target_std", np.ones(config.theta))
-    return pred.y_hat * sigma + mu
+    return pred.y_hat[:, 0] * params.buffers["target_std"] + params.buffers["target_mean"]
 
 
 DEFAULT_GROUP_EDGES = (1, 3, 5, 8)
@@ -115,15 +132,10 @@ def eval_by_mutation_count(
     """Per-group Spearman; groups too small or constant report rho as None."""
     out: dict[str, dict] = {}
     for label, idx in group_by_mutation_count(counts, edges).items():
-        entry: dict = {"n": int(idx.size)}
-        if idx.size >= 2:
-            try:
-                entry["rho"] = spearman(predictions[idx], targets[idx])
-            except ValueError:
-                entry["rho"] = None
-        else:
-            entry["rho"] = None
-        out[label] = entry
+        out[label] = {
+            "n": int(idx.size),
+            "rho": spearman_or_none(predictions[idx], targets[idx]),
+        }
     return out
 
 
@@ -150,19 +162,14 @@ def evaluate(
         rows=rows,
         train_ids=train_ids,
         graph=graph,
-    )[:, 0]
+    )
     runtime = time.perf_counter() - started
-    targets = family.targets[rows, 0]
-    try:
-        rho = spearman(preds, targets)
-    except ValueError:
-        rho = None
-    mse = float(np.mean((preds - targets) ** 2))
+    targets = family.targets[rows]
     groups = None
     if group_edges is not None:
         counts = family.mutation_counts()[rows]
         groups = eval_by_mutation_count(preds, targets, counts, group_edges)
-    return Metrics(spearman=rho, mse=mse, by_mutation_count=groups, runtime_s=runtime)
+    return _metrics(preds, targets, runtime, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +308,11 @@ def linear_baseline(
     eval_rows = split.rows(family, tag)
     if not eval_rows:
         raise ValueError(f"split tag {tag!r} selects no rows")
-    y = family.targets[:, 0]
+    y = family.targets
     y_mean = y[train_rows].mean()
     started = time.perf_counter()
     xt = x[train_rows]
     gram = xt.T @ xt + l2 * np.eye(x.shape[1])
     weights = np.linalg.solve(gram, xt.T @ (y[train_rows] - y_mean))
     preds = x[eval_rows] @ weights + y_mean
-    runtime = time.perf_counter() - started
-    targets = y[eval_rows]
-    try:
-        rho = spearman(preds, targets)
-    except ValueError:
-        rho = None
-    return Metrics(
-        spearman=rho,
-        mse=float(np.mean((preds - targets) ** 2)),
-        runtime_s=runtime,
-    )
+    return _metrics(preds, y[eval_rows], time.perf_counter() - started)

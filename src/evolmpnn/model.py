@@ -95,7 +95,6 @@ class ModelConfig:
     ffn_dim: int | None = None
     l_r: int = 2
     l_p: int = 2
-    theta: int = 1
     anchor_k: int | None = None
     anchor_seed: int = 0
     resample_anchors: bool = True
@@ -112,7 +111,7 @@ class ModelConfig:
             self.d_head = max(1, self.d // self.heads)
         if self.ffn_dim is None:
             self.ffn_dim = 2 * self.d
-        for name in ("d", "heads", "d_head", "ffn_dim", "l_r", "l_p", "theta", "knn_k"):
+        for name in ("d", "heads", "d_head", "ffn_dim", "l_r", "l_p", "knn_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.anchor_k is not None and self.anchor_k < 1:
@@ -138,6 +137,11 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelConfig":
+        """Build from a JSON object. Configs written before targets became
+        scalar carry ``"theta": 1``, which is dropped; any other value is
+        an unknown key."""
+        if _is_int(doc.get("theta")) and doc["theta"] == 1:
+            doc = {k: v for k, v in doc.items() if k != "theta"}
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
@@ -214,10 +218,10 @@ def init_params(config: ModelConfig, n_positions: int, seed: int = 0) -> ModelPa
                 params, prefix, d, config.heads, config.d_head, config.ffn_dim, rng, dtype
             )
             params[f"{prefix}.bias_proj"] = _xavier(rng, (d, config.d_head), dtype)
-    params["w_final"] = _xavier(rng, (2 * d, config.theta), dtype)
+    params["w_final"] = _xavier(rng, (2 * d, 1), dtype)
     buffers = {
-        "target_mean": np.zeros(config.theta, dtype=np.float64),
-        "target_std": np.ones(config.theta, dtype=np.float64),
+        "target_mean": np.zeros(1, dtype=np.float64),
+        "target_std": np.ones(1, dtype=np.float64),
     }
     return ModelParams(params, buffers)
 
@@ -226,7 +230,7 @@ def init_params(config: ModelConfig, n_positions: int, seed: int = 0) -> ModelPa
 class Prediction:
     """Head outputs (in the model's internal target scale) plus embeddings."""
 
-    y_hat: np.ndarray  # (rows, theta)
+    y_hat: np.ndarray  # (rows, 1)
     z: np.ndarray  # (rows, 2d)
     z_p: np.ndarray  # (rows, d)
     z_r: np.ndarray  # (rows, d)
@@ -439,18 +443,12 @@ def forward(
     )
 
 
-def mse_loss(y_hat: ad.Tensor, targets: np.ndarray, mask=None) -> ad.Tensor:
-    """Mean squared error over (optionally masked) rows."""
+def mse_loss(y_hat: ad.Tensor, targets: np.ndarray) -> ad.Tensor:
+    """Mean squared error of the (rows, 1) head against a rows-long target vector."""
     targets = np.asarray(targets, dtype=y_hat.data.dtype)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.int64)
-        if mask.size == 0:
-            raise ValueError("loss mask is empty")
-        y_hat = ad.take_rows(y_hat, mask)
-        targets = targets[mask]
-    if y_hat.data.shape != targets.shape:
+    if targets.ndim != 1 or y_hat.data.shape != (targets.size, 1):
         raise ValueError(f"shape mismatch: {y_hat.data.shape} vs {targets.shape}")
-    diff = ad.sub(y_hat, ad.constant(targets))
+    diff = ad.sub(y_hat, ad.constant(targets[:, None]))
     return ad.mean_over(ad.mul(diff, diff))
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Family, Graph, SplitAssignment
-from .evaluation import spearman
+from .evaluation import spearman_or_none
 from .model import (
     ModelConfig,
     ModelParams,
@@ -40,7 +40,6 @@ class TrainConfig:
     batch_size: int = 64
     patience: int = 30
     seed: int = 0
-    standardize_targets: bool = True
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -105,18 +104,18 @@ class Adam:
 
 def standardize_targets(
     y_train: np.ndarray, y_all: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standardize targets with train-only statistics (population std).
+) -> tuple[np.ndarray, float, float]:
+    """Standardize a target vector with train-only statistics (population std).
 
-    Zero-variance components keep sigma = 1 so the transform degrades to
+    Returns the standardized ``y_all`` with the mean and std used. A
+    zero-variance train set keeps sigma = 1, so the transform degrades to
     centering.
     """
-    y_train = np.atleast_2d(np.asarray(y_train, dtype=np.float64))
-    y_all = np.atleast_2d(np.asarray(y_all, dtype=np.float64))
-    mu = y_train.mean(axis=0)
-    sigma = y_train.std(axis=0)
-    sigma = np.where(sigma > 0, sigma, 1.0)
-    return (y_all - mu) / sigma, mu, sigma
+    y_train = np.asarray(y_train, dtype=np.float64)
+    mu = float(y_train.mean())
+    sigma = float(y_train.std())
+    sigma = sigma if sigma > 0 else 1.0
+    return (np.asarray(y_all, dtype=np.float64) - mu) / sigma, mu, sigma
 
 
 @dataclass
@@ -170,20 +169,13 @@ def train(
     train_ids = [family.ids[i] for i in train_rows]
 
     params = init_params(model_config, family.n, seed=train_config.seed)
-    if train_config.standardize_targets:
-        y_std, mu, sigma = standardize_targets(
-            family.targets[train_rows], family.targets
-        )
-    else:
-        y_std = family.targets.astype(np.float64)
-        mu = np.zeros(family.theta)
-        sigma = np.ones(family.theta)
+    y_std, mu, sigma = standardize_targets(family.targets[train_rows], family.targets)
     # Buffers follow the model dtype so float32 checkpoints round-trip bitwise.
-    mu = mu.astype(model_config.np_dtype)
-    sigma = sigma.astype(model_config.np_dtype)
+    mu = np.full(1, mu, dtype=model_config.np_dtype)
+    sigma = np.full(1, sigma, dtype=model_config.np_dtype)
     params.buffers["target_mean"] = mu
     params.buffers["target_std"] = sigma
-    y_raw_valid = family.targets[valid_rows, 0]
+    y_raw_valid = family.targets[valid_rows]
 
     rng = np.random.default_rng(train_config.seed)
     optimiser = Adam(
@@ -246,11 +238,8 @@ def train(
                 raise TrainingError(
                     f"diverged at epoch {epoch} during validation: {err}"
                 ) from err
-            pred_valid = valid_fg.y_hat.data[:, 0] * sigma[0] + mu[0]
-            try:
-                rho = spearman(pred_valid, y_raw_valid)
-            except ValueError:
-                rho = None
+            pred_valid = valid_fg.y_hat.data[:, 0] * sigma + mu
+            rho = spearman_or_none(pred_valid, y_raw_valid)
             stats = EpochStats(
                 epoch=epoch,
                 train_loss=float(np.mean(losses)),

@@ -129,7 +129,7 @@ def epistatic_benchmark_family(lseed=11, n=32, m=512, max_mut=5, n_pairs=20):
     clean = LandscapeSpec(
         n=n, m=m, max_mutations=max_mut, additive=additive, epistasis=pairs, seed=lseed
     )
-    std = float(synth_family(clean).family.targets[:, 0].std())
+    std = float(synth_family(clean).family.targets.std())
     noisy = LandscapeSpec(
         n=n,
         m=m,

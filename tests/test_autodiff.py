@@ -230,6 +230,28 @@ class TestGraphMechanics:
         loss.backward()
         np.testing.assert_allclose(t.grad, [6.0])
 
+    def test_backward_frees_interior_grads(self):
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal(s) for s in ((5, 3), (3, 4))]
+
+        def build():
+            x, w = (ad.Tensor(a, requires_grad=True) for a in arrays)
+            h = ad.elu(ad.matmul(x, w))
+            # h feeds two ops, so its gradient accumulates before it is used.
+            return ad.sum_over(ad.mul(h, ad.softmax_last(h))), (x, w)
+
+        loss, leaves = build()
+        loss.backward()
+        assert all(n.grad is None for n in ad._toposort(loss) if n._backward is not None)
+        # Reference: the same reverse walk, keeping every node's gradient.
+        ref_loss, ref_leaves = build()
+        ref_loss.grad = np.ones_like(ref_loss.data)
+        for node in reversed(ad._toposort(ref_loss)):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+        for leaf, ref in zip(leaves, ref_leaves):
+            assert leaf.grad.tobytes() == ref.grad.tobytes()
+
     def test_constants_get_no_grad(self):
         c = ad.constant(np.ones(3))
         t = ad.Tensor(np.ones(3), requires_grad=True)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import re
 import struct
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from evolmpnn.cli import (
 )
 from evolmpnn.data import LandscapeSpec, load_family, load_split, synth_family
 from evolmpnn.embeddings import write_sidecar
+from evolmpnn.evaluation import predict
 from evolmpnn.model import ModelConfig, init_params
+from evolmpnn.training import TrainConfig
 
 
 def landscape_json(tmp_path, n=8, m=40, max_mutations=4, seed=3, scale=1.0):
@@ -180,6 +184,14 @@ class TestRunConfig:
         cfg.write_text(json.dumps({"model": {"depth": 3}}))
         with pytest.raises(ValueError, match="unknown model config keys"):
             load_run_config(cfg)
+
+    def test_readme_lists_every_config_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        for label, config in (("Model fields:", ModelConfig), ("Train fields:", TrainConfig)):
+            listed = re.search(re.escape(label) + r"\s*`([^`]*)`", readme).group(1)
+            assert [name.strip() for name in listed.split(",")] == [
+                f.name for f in fields(config)
+            ], label
 
     def test_unknown_data_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -368,6 +380,24 @@ class TestCheckpoints:
         error = json.loads(capsys.readouterr().err)["error"]
         assert "manifest has no 'config.model' object" in error
 
+    def test_legacy_theta_1_loads_and_predicts_equal(self, tmp_path):
+        # Model configs written before targets became scalar carry "theta": 1.
+        params, run = self.make_params()
+        fresh, legacy = tmp_path / "fresh.ckpt", tmp_path / "legacy.ckpt"
+        save_checkpoint(params, run, fresh)
+        self.write_edited(legacy, lambda m: m["config"]["model"].update(theta=1))
+        fresh_params, fresh_run = load_checkpoint(fresh)
+        legacy_params, legacy_run = load_checkpoint(legacy)
+        assert "theta" not in fresh_run["model"] and legacy_run["model"]["theta"] == 1
+        spec = LandscapeSpec(
+            n=5, m=12, max_mutations=3, additive=np.zeros((5, 20)), epistasis=[]
+        )
+        fam = synth_family(spec).family
+        config = ModelConfig.from_json(legacy_run["model"])
+        assert config == ModelConfig.from_json(fresh_run["model"])
+        expected = predict(fam, fresh_params, config)
+        assert predict(fam, legacy_params, config).tobytes() == expected.tobytes()
+
     def test_version_1_asks_for_retraining(self, tmp_path):
         # Anchors are recomputed at load time, so a model trained against the
         # old sampler's anchors must not silently evaluate against new ones.
@@ -464,7 +494,28 @@ class TestTrainEvalPipeline:
     def test_invalid_config_value_is_a_json_error(
         self, tmp_path, capsys, section, key, value
     ):
-        # Config validation fails before the data files are opened.
+        error = self.config_error(tmp_path, capsys, section, key, value)
+        assert error.startswith(f"{key} must be")
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("model", "theta", 2),
+            ("model", "theta", True),
+            ("model", "theta", 1.0),
+            ("train", "standardize_targets", False),
+        ],
+    )
+    def test_removed_field_is_an_unknown_key(self, tmp_path, capsys, section, key, value):
+        # Targets are scalar and always standardized; only a legacy integer
+        # "theta": 1 is accepted, and dropped.
+        error = self.config_error(tmp_path, capsys, section, key, value)
+        assert error == f"unknown {section} config keys: ['{key}']"
+
+    @staticmethod
+    def config_error(tmp_path, capsys, section, key, value) -> str:
+        """The error of ``train`` on a run config with one value set; config
+        validation fails before the data files are opened."""
         cfg = run_config_json(tmp_path, tmp_path / "family.csv", tmp_path / "split.csv")
         doc = json.loads(cfg.read_text())
         doc[section][key] = value
@@ -472,9 +523,8 @@ class TestTrainEvalPipeline:
         ckpt = tmp_path / "model.ckpt"
         capsys.readouterr()
         assert dispatch(["train", "--config", str(cfg), "--out", str(ckpt)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"].startswith(f"{key} must be")
         assert not ckpt.exists()
+        return json.loads(capsys.readouterr().err)["error"]
 
     def test_eval_on_family_of_other_length(self, tmp_path, capsys):
         family_path, split_path = make_dataset(tmp_path)

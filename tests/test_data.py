@@ -94,6 +94,15 @@ class TestLoadFamily:
         with pytest.raises(FamilyError, match="expected header"):
             load_family(p)
 
+    @pytest.mark.parametrize("target", [(), (1.0, 2.0)], ids=["empty", "pair"])
+    def test_record_needs_exactly_one_target_value(self, target):
+        records = [
+            ProteinRecord(r.id, r.sequence, target, r.is_wild_type)
+            for r in make_family(["AC", "CA", "CC"]).records
+        ]
+        with pytest.raises(FamilyError, match=f"record 'p0' has {len(target)} target values"):
+            Family(records)
+
     def test_sidecar_features_must_match_family(self):
         records = make_family(["AC", "CA", "CC"]).records
         with pytest.raises(FamilyError, match="protein_feats"):
@@ -375,8 +384,8 @@ class TestSynthFamily:
         spec = zero_spec(additive=rng.normal(size=(6, 20)), seed=5)
         res = synth_family(spec)
         wt = res.family.wild_type.sequence
-        wt_y = res.family.targets[res.family.wild_type_index, 0]
-        for rec, y in zip(res.family.records, res.family.targets[:, 0]):
+        wt_y = res.family.targets[res.family.wild_type_index]
+        for rec, y in zip(res.family.records, res.family.targets):
             delta = sum(
                 spec.additive[p, AA_INDEX[rec.sequence[p]]]
                 - spec.additive[p, AA_INDEX[wt[p]]]
@@ -390,7 +399,7 @@ class TestSynthFamily:
         wt = res.family.wild_type.sequence
         spec = zero_spec(seed=3, epistasis=[(0, 1, wt[0], wt[1], 2.5)])
         res2 = synth_family(spec)
-        for rec, y in zip(res2.family.records, res2.family.targets[:, 0]):
+        for rec, y in zip(res2.family.records, res2.family.targets):
             expected = 2.5 if rec.sequence[0] == wt[0] and rec.sequence[1] == wt[1] else 0.0
             assert y == expected
 

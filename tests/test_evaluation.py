@@ -256,7 +256,7 @@ class TestPredict:
             lambda: predict(fam, params, config, rows=rows, train_ids=pool)
         )
         assert peak < 64e6
-        assert preds.shape == (len(rows), 1) and np.all(np.isfinite(preds))
+        assert preds.shape == (len(rows),) and np.all(np.isfinite(preds))
 
 
 class TestBourgainEmbedding:

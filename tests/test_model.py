@@ -49,7 +49,6 @@ def tiny_config(variant="evolmpnn", **kw):
         ffn_dim=8,
         l_r=1,
         l_p=1,
-        theta=1,
         anchor_seed=0,
         dtype="float64",
     )
@@ -426,34 +425,22 @@ class TestGradientFreeInference:
 
 class TestMseLoss:
     def test_perfect_fit(self):
-        y = np.array([[1.0], [2.0]])
-        assert float(mse_loss(ad.constant(y), y).data) == 0.0
+        y = np.array([1.0, 2.0])
+        assert float(mse_loss(ad.constant(y[:, None]), y).data) == 0.0
 
     def test_unit_residual(self):
-        y = np.zeros((3, 2))
-        assert float(mse_loss(ad.constant(y + 1.0), y).data) == 1.0
+        y = np.zeros(3)
+        assert float(mse_loss(ad.constant(y[:, None] + 1.0), y).data) == 1.0
 
     def test_hand_value(self):
         pred = np.array([[0.0], [2.0]])
-        target = np.array([[1.0], [0.0]])
+        target = np.array([1.0, 0.0])
         assert float(mse_loss(ad.constant(pred), target).data) == 2.5
 
-    def test_mask_selects_rows(self):
-        pred = np.array([[0.0], [2.0], [5.0]])
-        target = np.array([[1.0], [0.0], [0.0]])
-        out = mse_loss(ad.constant(pred), target, mask=[0, 1])
-        assert float(out.data) == 2.5
-
-    def test_mask_order_irrelevant(self):
-        rng = np.random.default_rng(11)
-        pred, target = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
-        a = mse_loss(ad.constant(pred), target, mask=[0, 3, 5])
-        b = mse_loss(ad.constant(pred), target, mask=[5, 0, 3])
-        np.testing.assert_allclose(a.data, b.data, atol=1e-15)
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError, match="mask is empty"):
-            mse_loss(ad.constant(np.ones((2, 1))), np.ones((2, 1)), mask=[])
+    @pytest.mark.parametrize("target", [np.zeros((2, 1)), np.zeros(3)], ids=["column", "length"])
+    def test_target_must_be_one_value_per_row(self, target):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mse_loss(ad.constant(np.zeros((2, 1))), target)
 
 
 class TestGradientCheck:

@@ -43,30 +43,30 @@ def small_config(**kw):
 
 class TestStandardize:
     def test_degenerate_variance_keeps_targets(self):
-        y = np.zeros((3, 1))
+        y = np.zeros(3)
         out, mu, sigma = standardize_targets(y, y)
         np.testing.assert_array_equal(out, y)
-        assert mu[0] == 0.0 and sigma[0] == 1.0
+        assert mu == 0.0 and sigma == 1.0
 
     def test_symmetric_pair_uses_population_std(self):
-        y = np.array([[-1.0], [1.0]])
+        y = np.array([-1.0, 1.0])
         out, mu, sigma = standardize_targets(y, y)
-        assert mu[0] == 0.0 and sigma[0] == 1.0
+        assert mu == 0.0 and sigma == 1.0
         np.testing.assert_array_equal(out, y)
 
     def test_affine_rescaling_cancels(self):
         rng = np.random.default_rng(0)
-        y = rng.normal(size=(20, 1))
+        y = rng.normal(size=20)
         base, _, _ = standardize_targets(y, y)
         scaled, _, _ = standardize_targets(3.5 * y + 2.0, 3.5 * y + 2.0)
         np.testing.assert_allclose(base, scaled, atol=1e-12)
 
     def test_statistics_come_from_train_only(self):
-        y_train = np.array([[0.0], [2.0]])
-        y_all = np.array([[0.0], [2.0], [100.0]])
+        y_train = np.array([0.0, 2.0])
+        y_all = np.array([0.0, 2.0, 100.0])
         out, mu, sigma = standardize_targets(y_train, y_all)
-        assert mu[0] == 1.0 and sigma[0] == 1.0
-        np.testing.assert_allclose(out[:, 0], [-1.0, 1.0, 99.0])
+        assert mu == 1.0 and sigma == 1.0
+        np.testing.assert_allclose(out, [-1.0, 1.0, 99.0])
 
 
 class TestAdam:
@@ -204,10 +204,10 @@ class TestTrainLoop:
         metrics = evaluate(fam, split, params, config, tag="test")
         # De-standardization is affine, so ranks (and rho) match the raw head.
         assert metrics.spearman == pytest.approx(
-            spearman(raw_head, fam.targets[rows, 0]), abs=1e-12
+            spearman(raw_head, fam.targets[rows]), abs=1e-12
         )
         # MSE is reported on the raw target scale, not the standardized one.
         mu = params.buffers["target_mean"][0]
         sigma = params.buffers["target_std"][0]
-        expected_mse = np.mean((raw_head * sigma + mu - fam.targets[rows, 0]) ** 2)
+        expected_mse = np.mean((raw_head * sigma + mu - fam.targets[rows]) ** 2)
         assert metrics.mse == pytest.approx(expected_mse, rel=1e-12)
