@@ -285,14 +285,13 @@ def _write_json(doc: dict, out_path=None) -> None:
 def cmd_synth(args) -> int:
     spec = load_landscape_spec(args.config)
     if args.seed is not None:
-        spec.seed = args.seed
-    result = synth_family(spec)
-    save_family(result.family, args.out)
-    print(
-        json.dumps(
-            {"written": str(args.out), "m": result.family.m, "n": result.family.n}
-        )
-    )
+        try:
+            spec = replace(spec, seed=args.seed)
+        except ValueError as err:
+            raise ConfigError(f"invalid override: {err}") from err
+    family = synth_family(spec)
+    save_family(family, args.out)
+    print(json.dumps({"written": str(args.out), "m": family.m, "n": family.n}))
     return 0
 
 
@@ -313,10 +312,10 @@ def cmd_train(args) -> int:
     run = load_run_config(args.config)
     model_config: ModelConfig = run["model"]
     train_config: TrainConfig = run["train"]
-    if args.seed is not None:
-        train_config.seed = args.seed
     overrides = {"variant": args.variant, "knn_k": args.knn_k}
     try:
+        if args.seed is not None:
+            train_config = replace(train_config, seed=args.seed)
         model_config = replace(
             model_config, **{k: v for k, v in overrides.items() if v is not None}
         )
@@ -351,8 +350,8 @@ def _parse_group_edges(text: str | None):
         edges = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--group-edges must be comma-separated integers, got {text!r}")
-    if not edges or sorted(edges) != edges:
-        raise ConfigError("--group-edges must be ascending and non-empty")
+    if not edges or any(lo >= hi for lo, hi in zip(edges, edges[1:])):
+        raise ConfigError("--group-edges must be strictly ascending and non-empty")
     return edges
 
 

@@ -10,7 +10,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +26,39 @@ class FamilyError(ValueError):
 
 class SplitError(ValueError):
     """Raised when a split cannot be constructed or is inconsistent."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": (
+        "a finite number",
+        lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
+    ),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(config) -> None:
+    """Reject config values that do not match their field's annotation.
+
+    Annotations are read as written (``int``, ``float``, ``bool`` or
+    ``str``, optionally ``| None``): ints pass as floats, bools pass only as
+    bools, and floats must be finite. Fields with any other annotation are
+    left to the caller.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if kind not in _FIELD_KINDS or (value is None and optional):
+            continue
+        description, accepts = _FIELD_KINDS[kind]
+        if not accepts(value):
+            raise ValueError(f"{f.name} must be {description}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -198,10 +231,9 @@ def save_family(family: Family, path) -> None:
 
 @dataclass
 class SplitAssignment:
-    """Maps every family id to train/valid/test, with provenance."""
+    """Maps every family id to train/valid/test."""
 
     tags: dict[str, str]
-    provenance: dict
 
     def __post_init__(self):
         bad = {t for t in self.tags.values()} - set(SPLIT_TAGS)
@@ -209,9 +241,6 @@ class SplitAssignment:
             raise SplitError(f"unknown split tags: {sorted(bad)}")
         if not any(t == "train" for t in self.tags.values()):
             raise SplitError("train set is empty")
-
-    def ids(self, tag: str) -> list[str]:
-        return [rid for rid, t in self.tags.items() if t == tag]
 
     def counts(self) -> dict[str, int]:
         return {tag: sum(t == tag for t in self.tags.values()) for tag in SPLIT_TAGS}
@@ -246,7 +275,7 @@ def load_split(path, family: Family | None = None) -> SplitAssignment:
             if rid in tags:
                 raise SplitError(f"{path}: duplicate id {rid!r} at row {row_no}")
             tags[rid] = tag
-    split = SplitAssignment(tags, {"name": "loaded", "path": str(path)})
+    split = SplitAssignment(tags)
     if family is not None:
         missing = set(family.ids) - set(tags)
         extra = set(tags) - set(family.ids)
@@ -295,10 +324,7 @@ def split_lambda_vs_rest(
     tags = _carve_validation(family, pool_rows, valid_frac, seed)
     if not any(t == "test" for t in tags.values()):
         warnings.warn(f"lambda={lam} leaves the test set empty", stacklevel=2)
-    return SplitAssignment(
-        tags,
-        {"name": "lambda-vs-rest", "lambda": lam, "valid_frac": valid_frac, "seed": seed},
-    )
+    return SplitAssignment(tags)
 
 
 def split_low_vs_high(
@@ -313,9 +339,7 @@ def split_low_vs_high(
     tags = _carve_validation(family, pool_rows, valid_frac, seed)
     if not any(t == "test" for t in tags.values()):
         warnings.warn("no target above the wild-type's: test set empty", stacklevel=2)
-    return SplitAssignment(
-        tags, {"name": "low-vs-high", "valid_frac": valid_frac, "seed": seed}
-    )
+    return SplitAssignment(tags)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +358,6 @@ class Graph:
     """
 
     n_nodes: int
-    k: int
     edges: np.ndarray
 
     def __post_init__(self):
@@ -407,7 +430,7 @@ def knn_graph(family: Family, k: int) -> Graph:
         nearest[start:stop] = np.argpartition(key, k - 1, axis=1)[:, :k]
     rows, cols = np.repeat(index, k), nearest.reshape(-1)
     pairs = np.stack([np.concatenate([rows, cols]), np.concatenate([cols, rows])], axis=1)
-    return Graph(n_nodes=m, k=k, edges=np.unique(pairs, axis=0))
+    return Graph(n_nodes=m, edges=np.unique(pairs, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +446,20 @@ class LandscapeSpec:
     m: int
     max_mutations: int
     additive: np.ndarray  # (n, 20) per-position residue weights
-    epistasis: list[tuple[int, int, str, str, float]]
+    epistasis: list[tuple[int, int, str, str, float]] = field(default_factory=list)
     noise_std: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
+        _, is_number = _FIELD_KINDS["float"]
+        if not all(map(is_number, np.asarray(self.additive, dtype=object).ravel())):
+            raise ValueError("additive weights must be finite numbers")
         self.additive = np.asarray(self.additive, dtype=np.float64)
         if self.n < 1 or self.m < 2:
             raise ValueError("landscape needs n >= 1 and m >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.max_mutations <= self.n:
             raise ValueError("max_mutations must be in [1, n]")
         if self.additive.shape != (self.n, len(ALPHABET)):
@@ -438,37 +467,39 @@ class LandscapeSpec:
                 f"additive weights must be ({self.n}, {len(ALPHABET)}), "
                 f"got {self.additive.shape}"
             )
-        if not np.all(np.isfinite(self.additive)):
-            raise ValueError("additive weights must be finite")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
-        for p, q, a, b, w in self.epistasis:
+        form = "[int, int, str, str, number]"
+        if not isinstance(self.epistasis, (list, tuple)):
+            raise ValueError(f"epistasis must be a list of {form}")
+        for i, entry in enumerate(self.epistasis):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 5:
+                raise ValueError(f"epistasis[{i}] must be {form}, got {entry!r}")
+            for value, kind in zip(entry, ("int", "int", "str", "str", "float")):
+                description, accepts = _FIELD_KINDS[kind]
+                if not accepts(value):
+                    raise ValueError(
+                        f"epistasis[{i}] must be {form}: {value!r} is not {description}"
+                    )
+            p, q, a, b, _ = entry
             if not (0 <= p < self.n and 0 <= q < self.n):
                 raise ValueError(f"epistatic positions ({p},{q}) out of range")
             if a not in AA_INDEX or b not in AA_INDEX:
                 raise ValueError(f"epistatic residues ({a},{b}) not in alphabet")
-            if not math.isfinite(w):
-                raise ValueError("epistatic weight must be finite")
+        self.epistasis = [tuple(entry) for entry in self.epistasis]
 
     @classmethod
     def from_json(cls, doc: dict) -> "LandscapeSpec":
-        known = {"n", "m", "max_mutations", "additive", "epistasis", "noise_std", "seed"}
-        unknown = set(doc) - known
+        """Build from a JSON object; values are type-checked, never coerced."""
+        if not isinstance(doc, dict):
+            raise ValueError("landscape spec must be a JSON object")
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown landscape keys: {sorted(unknown)}")
-        epi = [
-            (int(p), int(q), str(a), str(b), float(w))
-            for p, q, a, b, w in doc.get("epistasis", [])
-        ]
-        return cls(
-            n=int(doc["n"]),
-            m=int(doc["m"]),
-            max_mutations=int(doc["max_mutations"]),
-            additive=np.asarray(doc["additive"], dtype=np.float64),
-            epistasis=epi,
-            noise_std=float(doc.get("noise_std", 0.0)),
-            seed=int(doc.get("seed", 0)),
-        )
+        for name in ("n", "m", "max_mutations", "additive"):
+            if name not in doc:
+                raise ValueError(f"landscape spec has no {name!r}")
+        return cls(**doc)
 
     def to_json(self) -> dict:
         return {
@@ -487,15 +518,6 @@ def load_landscape_spec(path) -> LandscapeSpec:
         return LandscapeSpec.from_json(json.load(fh))
 
 
-@dataclass
-class SynthResult:
-    """A generated family plus its noise-free ground truth."""
-
-    family: Family
-    clean_targets: np.ndarray
-    spec: LandscapeSpec
-
-
 def landscape_value(spec: LandscapeSpec, encoded: np.ndarray) -> np.ndarray:
     """Noise-free target for encoded sequences (rows of alphabet indices)."""
     rows = np.atleast_2d(encoded)
@@ -506,7 +528,7 @@ def landscape_value(spec: LandscapeSpec, encoded: np.ndarray) -> np.ndarray:
     return y
 
 
-def synth_family(spec: LandscapeSpec) -> SynthResult:
+def synth_family(spec: LandscapeSpec) -> Family:
     """Sample a wild type plus M-1 random mutants and score them.
 
     Sequences are drawn before any noise, so two specs differing only in
@@ -526,9 +548,8 @@ def synth_family(spec: LandscapeSpec) -> SynthResult:
             shift = int(rng.integers(1, n_letters))
             seq[p] = (seq[p] + shift) % n_letters
         encoded[i] = seq
-    clean = landscape_value(spec, encoded)
     noise = rng.normal(0.0, spec.noise_std, size=spec.m) if spec.noise_std > 0 else 0.0
-    targets = clean + noise
+    targets = landscape_value(spec, encoded) + noise
     width = len(str(spec.m - 1))
     records = [
         ProteinRecord("WT", "".join(ALPHABET[c] for c in wt), (float(targets[0]),), True)
@@ -542,4 +563,4 @@ def synth_family(spec: LandscapeSpec) -> SynthResult:
                 False,
             )
         )
-    return SynthResult(Family(records), clean, spec)
+    return Family(records)

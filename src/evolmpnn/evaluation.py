@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ALPHABET, Family, Graph, SplitAssignment, _block_rows, _hamming_rows
-from .evolution import anchor_count, sample_anchor_sets, AnchorPolicy
+from .evolution import anchor_count, sample_anchor_sets
 from .model import ModelConfig, ModelParams, forward
 
 
@@ -108,8 +108,13 @@ DEFAULT_GROUP_EDGES = (1, 3, 5, 8)
 def group_by_mutation_count(
     counts: np.ndarray, edges=DEFAULT_GROUP_EDGES
 ) -> dict[str, np.ndarray]:
-    """Bucket indices by mutation count into [e0,e1), ..., [elast, inf)."""
-    edges = sorted(edges)
+    """Bucket indices by mutation count into [e0,e1), ..., [elast, inf).
+
+    ``edges`` must be non-empty and strictly ascending.
+    """
+    edges = list(edges)
+    if not edges or any(lo >= hi for lo, hi in zip(edges, edges[1:])):
+        raise ValueError(f"group edges must be strictly ascending and non-empty, got {edges}")
     groups: dict[str, np.ndarray] = {}
     for g, lo in enumerate(edges):
         if g + 1 < len(edges):
@@ -275,9 +280,7 @@ def bourgain_embedding(
     m = base.shape[0]
     ids = [str(i) for i in range(m)]
     k = k if k is not None else anchor_count(m)
-    sets = sample_anchor_sets(
-        ids, AnchorPolicy(k=k, seed=seed), layer_index=0, fallback_id="0"
-    )
+    sets = sample_anchor_sets(ids, 0, fallback_id="0", k=k, seed=seed)
     out = np.empty((m, k), dtype=np.float64)
     for j, s in enumerate(sets):
         # Positions into ``ids``, which are the base matrix's columns.

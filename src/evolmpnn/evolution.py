@@ -3,9 +3,10 @@
 Anchor sets are random subsets of the training proteins; each protein
 receives messages built from its residue-level difference to the set's
 pooled residues, elementwise-modulated by the set's protein embedding.
-Set membership is decided by a keyed hash, so sampling is reproducible,
-independent of record order, and refreshable per training step while
-staying frozen at evaluation:
+The sampler has two settings, the number of sets k and a seed. Set
+membership is decided by a keyed hash, so sampling is reproducible,
+independent of record order, and refreshable per training step and layer
+while staying frozen at evaluation:
 
 - each protein id is hashed once per call to a 64-bit key, the
   little-endian value of ``blake2b(id.encode("utf-8"), digest_size=8)``;
@@ -22,7 +23,9 @@ since deeper sets would otherwise be empty almost surely. A set that still
 comes out empty falls back to one protein: the wild type when it is in the
 pool, and otherwise the pool's smallest id.
 
-Sets hold positions into the pool as passed. evolmpnn sums each set's
+The caller picks the draw and layer keys; ``model.build_forward`` passes
+draw 0 and layer 0 to every layer when ``resample_anchors`` is off. Sets
+hold positions into the pool as passed. evolmpnn sums each set's
 members, and evolgnn each node's neighbours, with the one edge-list op
 ``autodiff.neighbor_sum``.
 """
@@ -42,37 +45,20 @@ from .residue_encoder import attention_layer
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """One sampled landmark: set index, members, inclusion probability.
+    """One sampled landmark set.
 
     ``member_ids`` is an ascending int64 array of positions into the pool
-    the set was sampled from. ``fallback_used`` marks sets whose Bernoulli
-    draw came out empty and were replaced; statistics over raw draw sizes
-    should treat these as 0.
+    the set was sampled from, never empty. ``fallback_used`` marks sets
+    whose Bernoulli draw came out empty and were replaced by one protein;
+    statistics over raw draw sizes should count these as 0.
     """
 
-    index: int
     member_ids: np.ndarray
-    inclusion_prob: float
     fallback_used: bool = False
 
     def __post_init__(self):
         if len(self.member_ids) == 0:
             raise ValueError("anchor sets must be non-empty")
-        if not 0 < self.inclusion_prob <= 1:
-            raise ValueError("inclusion probability must be in (0, 1]")
-
-    @property
-    def raw_size(self) -> int:
-        return 0 if self.fallback_used else len(self.member_ids)
-
-
-@dataclass(frozen=True)
-class AnchorPolicy:
-    """How many sets to draw and how to key the hash."""
-
-    k: int | None = None  # None: ceil(log2 M)^2
-    seed: int = 0
-    resample_per_layer: bool = True
 
 
 def anchor_count(m_train: int) -> int:
@@ -114,33 +100,36 @@ def _id_keys(ids: list[str]) -> np.ndarray:
 
 def sample_anchor_sets(
     train_ids,
-    policy: AnchorPolicy,
     layer_index: int,
     draw: int = 0,
     fallback_id: str | None = None,
+    *,
+    k: int | None = None,
+    seed: int = 0,
 ) -> list[AnchorSet]:
-    """Draw the anchor sets for one evolution layer.
+    """Draw the ``k`` anchor sets (default ``anchor_count(M)``) for one
+    evolution layer.
 
     Each set's ``member_ids`` are positions into ``train_ids`` as passed.
     Membership is keyed on protein ids, so any reordering of ``train_ids``
-    yields the same sets of ids. ``draw`` distinguishes training steps;
-    evaluation uses draw 0. Sets are drawn one at a time, so memory stays
-    O(M). An empty set falls back to ``fallback_id`` when it is in the pool,
-    and otherwise to the pool's smallest id.
+    yields the same sets of ids. ``seed``, ``draw`` and ``layer_index`` key
+    the hash; ``draw`` distinguishes training steps, and evaluation uses
+    draw 0. Sets are drawn one at a time, so memory stays O(M). An empty set
+    falls back to ``fallback_id`` when it is in the pool, and otherwise to
+    the pool's smallest id.
     """
     pool = list(train_ids)
     if not pool:
         raise ValueError("cannot sample anchors from an empty training pool")
     m = len(pool)
-    k = policy.k if policy.k is not None else anchor_count(m)
+    k = k if k is not None else anchor_count(m)
     if k < 1:
         raise ValueError("anchor count must be >= 1")
-    layer_key = layer_index if policy.resample_per_layer else 0
     fallback = np.array([pool.index(fallback_id if fallback_id in pool else min(pool))])
     keys = _id_keys(pool)
     with np.errstate(over="ignore"):
         base = np.zeros(1, dtype=np.uint64)
-        for part in (policy.seed, draw, layer_key):
+        for part in (seed, draw, layer_index):
             base = _mix((base ^ np.uint64(int(part) & _MASK64)) + _GOLDEN)
         salts = _mix(base + np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN)
         sets = []
@@ -151,14 +140,7 @@ def sample_anchor_sets(
             fell_back = len(members) == 0
             if fell_back:
                 members = fallback
-            sets.append(
-                AnchorSet(
-                    index=j,
-                    member_ids=members,
-                    inclusion_prob=2.0**-e,
-                    fallback_used=fell_back,
-                )
-            )
+            sets.append(AnchorSet(members, fell_back))
     return sets
 
 

@@ -27,61 +27,23 @@ O(block * N^2 + block * M + M * d).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import ALPHABET, Family, Graph
+from .data import ALPHABET, Family, Graph, _is_int, check_field_types
 from .embeddings import (
     apply_positional,
     init_positional_table,
     init_protein_embeddings,
     onehot_residues,
 )
-from .evolution import (
-    AnchorPolicy,
-    evolgnn_layer,
-    evolformer_layer,
-    evolmpnn_layer,
-    sample_anchor_sets,
-)
+from .evolution import evolgnn_layer, evolformer_layer, evolmpnn_layer, sample_anchor_sets
 from .residue_encoder import NumericsError, attention_layer, block_rows
 
 VARIANTS = ("evolmpnn", "evolgnn", "evolformer")
 DTYPES = {"float32": np.float32, "float64": np.float64}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_FIELD_KINDS = {
-    "int": ("an integer", _is_int),
-    "float": (
-        "a finite number",
-        lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
-    ),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def check_field_types(config) -> None:
-    """Reject config values that do not match their field's annotation.
-
-    Annotations are read as written (``int``, ``float``, ``bool`` or
-    ``str``, optionally ``| None``): ints pass as floats, bools pass only as
-    bools, and floats must be finite.
-    """
-    for f in fields(config):
-        value = getattr(config, f.name)
-        kind, _, optional = f.type.partition(" | ")
-        if value is None and optional:
-            continue
-        description, accepts = _FIELD_KINDS[kind]
-        if not accepts(value):
-            raise ValueError(f"{f.name} must be {description}, got {value!r}")
 
 
 @dataclass
@@ -126,11 +88,6 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return DTYPES[self.dtype]
-
-    def anchor_policy(self) -> AnchorPolicy:
-        return AnchorPolicy(
-            k=self.anchor_k, seed=self.anchor_seed, resample_per_layer=self.resample_anchors
-        )
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -231,10 +188,7 @@ class Prediction:
     """Head outputs (in the model's internal target scale) plus embeddings."""
 
     y_hat: np.ndarray  # (rows, 1)
-    z: np.ndarray  # (rows, 2d)
-    z_p: np.ndarray  # (rows, d)
-    z_r: np.ndarray  # (rows, d)
-    rows: list[int]  # family row index of each output row
+    z: np.ndarray  # (rows, 2d): final protein embedding, then pooled residues
 
 
 @dataclass
@@ -243,9 +197,7 @@ class ForwardGraph:
 
     y_hat: ad.Tensor
     z: ad.Tensor
-    z_p: ad.Tensor
-    z_r: ad.Tensor
-    rows: list[int]
+    rows: list[int]  # family row index of each output row
     leaves: dict[str, ad.Tensor]
 
     def grads(self) -> dict[str, np.ndarray]:
@@ -334,7 +286,9 @@ def build_forward(
 
     ``rows`` are family row indices, in any order and possibly repeated;
     each must be an integer in [0, M). ``train_ids``, the anchor pool
-    (default: every record), must be unique family ids.
+    (default: every record), must be unique family ids. ``anchor_draw``
+    keys a training step's anchor sets, and evaluation uses 0; with
+    ``config.resample_anchors`` off it is ignored.
     """
     dtype = config.np_dtype
     leaves = {
@@ -347,10 +301,15 @@ def build_forward(
         pool_rows = _pool_rows(family, family.ids if train_ids is None else train_ids)
         # Sampled in row order, each set's positions map to ascending rows.
         pool_ids = [family.ids[row] for row in pool_rows]
-        policy = config.anchor_policy()
+        resample = config.resample_anchors
         anchor_sets_per_layer = [
             sample_anchor_sets(
-                pool_ids, policy, layer, draw=anchor_draw, fallback_id=family.wild_type.id
+                pool_ids,
+                layer if resample else 0,
+                anchor_draw if resample else 0,
+                family.wild_type.id,
+                k=config.anchor_k,
+                seed=config.anchor_seed,
             )
             for layer in range(config.l_p)
         ]
@@ -410,7 +369,7 @@ def build_forward(
     y_hat = ad.matmul(z, leaves["w_final"])
     if not np.all(np.isfinite(y_hat.data)):
         raise NumericsError("non-finite predictions at the output head")
-    return ForwardGraph(y_hat=y_hat, z=z, z_p=z_p, z_r=z_r, rows=requested, leaves=leaves)
+    return ForwardGraph(y_hat=y_hat, z=z, rows=requested, leaves=leaves)
 
 
 def forward(
@@ -434,13 +393,7 @@ def forward(
         graph=graph,
         grad=False,
     )
-    return Prediction(
-        y_hat=fg.y_hat.data,
-        z=fg.z.data,
-        z_p=fg.z_p.data,
-        z_r=fg.z_r.data,
-        rows=fg.rows,
-    )
+    return Prediction(y_hat=fg.y_hat.data, z=fg.z.data)
 
 
 def mse_loss(y_hat: ad.Tensor, targets: np.ndarray) -> ad.Tensor:

@@ -16,16 +16,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Family, Graph, SplitAssignment
+from .data import Family, Graph, SplitAssignment, check_field_types
 from .evaluation import spearman_or_none
-from .model import (
-    ModelConfig,
-    ModelParams,
-    build_forward,
-    check_field_types,
-    init_params,
-    mse_loss,
-)
+from .model import ModelConfig, ModelParams, build_forward, init_params, mse_loss
 from .residue_encoder import NumericsError
 
 
@@ -51,6 +44,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1)")
@@ -197,7 +192,6 @@ def train(
                 # a batch; membership is what the shuffle decides.
                 batch = sorted(train_rows[i] for i in order[lo : lo + train_config.batch_size])
                 step += 1
-                draw = step if model_config.resample_anchors else 0
                 try:
                     fg = build_forward(
                         family,
@@ -205,7 +199,7 @@ def train(
                         model_config,
                         rows=batch,
                         train_ids=train_ids,
-                        anchor_draw=draw,
+                        anchor_draw=step,
                         graph=graph,
                     )
                     loss = mse_loss(fg.y_hat, y_std[batch])

@@ -28,12 +28,7 @@ from evolmpnn.evaluation import (
     predict,
     spearman,
 )
-from evolmpnn.evolution import (
-    AnchorPolicy,
-    anchor_count,
-    inclusion_probability,
-    sample_anchor_sets,
-)
+from evolmpnn.evolution import anchor_count, inclusion_probability, sample_anchor_sets
 from evolmpnn.model import ModelConfig, gradient_check
 from evolmpnn.training import TrainConfig, train
 
@@ -96,7 +91,7 @@ class TestA2OverfitCapacity:
             noise_std=0.0,
             seed=7,
         )
-        fam = synth_family(spec).family
+        fam = synth_family(spec)
         split = split_lambda_vs_rest(fam, lam=6, valid_frac=0.1, seed=7)
         config = ModelConfig(variant="evolmpnn", d=32, heads=2, l_r=1, l_p=1, dtype="float64")
         tc = TrainConfig(lr=5e-3, epochs=200, batch_size=16, patience=200, seed=7)
@@ -118,7 +113,7 @@ def epistatic_benchmark_family(lseed=11, n=32, m=512, max_mut=5, n_pairs=20):
     base = LandscapeSpec(
         n=n, m=m, max_mutations=max_mut, additive=additive, epistasis=[], seed=lseed
     )
-    wt = synth_family(base).family.wild_type.sequence
+    wt = synth_family(base).wild_type.sequence
     all_pairs = [(int(a), int(b)) for i, a in enumerate(hot) for b in hot[i + 1 :]]
     take = rng.choice(len(all_pairs), size=n_pairs, replace=False)
     pairs = []
@@ -129,7 +124,7 @@ def epistatic_benchmark_family(lseed=11, n=32, m=512, max_mut=5, n_pairs=20):
     clean = LandscapeSpec(
         n=n, m=m, max_mutations=max_mut, additive=additive, epistasis=pairs, seed=lseed
     )
-    std = float(synth_family(clean).family.targets.std())
+    std = float(synth_family(clean).targets.std())
     noisy = LandscapeSpec(
         n=n,
         m=m,
@@ -139,7 +134,7 @@ def epistatic_benchmark_family(lseed=11, n=32, m=512, max_mut=5, n_pairs=20):
         noise_std=0.05 * std,
         seed=lseed,
     )
-    return synth_family(noisy).family
+    return synth_family(noisy)
 
 
 class TestA3MutationEffectSignal:
@@ -234,8 +229,8 @@ class TestA5SamplerStatistics:
             cycle = int(np.ceil(np.log2(m)))
             sizes = np.zeros((200, cycle))
             for draw in range(200):
-                sets = sample_anchor_sets(ids, AnchorPolicy(k=cycle, seed=5), 0, draw=draw)
-                sizes[draw] = [s.raw_size for s in sets]
+                sets = sample_anchor_sets(ids, 0, draw=draw, k=cycle, seed=5)
+                sizes[draw] = [0 if s.fallback_used else len(s.member_ids) for s in sets]
             for j in range(1, cycle + 1):
                 p = inclusion_probability(j, m)
                 sigma_mean = np.sqrt(m * p * (1 - p) / 200)
@@ -322,7 +317,7 @@ class TestA7DeterminismPersistence:
             noise_std=0.0,
             seed=3,
         )
-        fam = synth_family(spec).family
+        fam = synth_family(spec)
         split = split_lambda_vs_rest(fam, lam=2, valid_frac=0.2, seed=0)
         config = ModelConfig(variant="evolmpnn", d=8, heads=2, l_r=1, l_p=1, dtype="float32")
         tc = TrainConfig(lr=3e-3, epochs=6, seed=0)
@@ -371,7 +366,7 @@ class TestA8ScalingShape:
             noise_std=0.0,
             seed=1,
         )
-        fam = synth_family(spec).family
+        fam = synth_family(spec)
         split = split_lambda_vs_rest(fam, lam=6, valid_frac=0.1, seed=0)
         config = ModelConfig(variant="evolmpnn", d=16, heads=2, l_r=1, l_p=1, dtype="float64")
         tc = TrainConfig(lr=1e-3, epochs=8, batch_size=m, patience=8, seed=0)

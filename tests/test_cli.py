@@ -99,6 +99,54 @@ class TestSynthAndSplit:
         info = json.loads(capsys.readouterr().out)
         assert info["m"] == 40
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("n", 4.9, "n must be an integer, got 4.9"),
+            ("m", 10.5, "m must be an integer, got 10.5"),
+            (
+                "epistasis",
+                [[1.7, 2, "A", "C", 1.0]],
+                "epistasis[0] must be [int, int, str, str, number]: 1.7 is not an integer",
+            ),
+            ("seed", True, "seed must be an integer, got True"),
+            ("noise_std", "0.1", "noise_std must be a finite number, got '0.1'"),
+            ("m", None, "landscape spec has no 'm'"),  # None: the key is removed
+        ],
+    )
+    def test_bad_landscape_exits_1_naming_the_field(
+        self, tmp_path, capsys, key, value, message
+    ):
+        spec = landscape_json(tmp_path)
+        doc = json.loads(spec.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "fam.csv"
+        assert dispatch(["synth", "--config", str(spec), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == message
+        assert not out.exists()
+
+    def test_synth_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        spec = landscape_json(tmp_path)
+        out = tmp_path / "fam.csv"
+        code = dispatch(["synth", "--config", str(spec), "--out", str(out), "--seed", "-3"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "invalid override: seed must be >= 0, got -3"
+        assert not out.exists()
+
+    def test_synth_seed_override_applies(self, tmp_path):
+        spec = landscape_json(tmp_path, seed=3)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert dispatch(["synth", "--config", str(spec), "--out", str(a), "--seed", "4"]) == 0
+        doc = json.loads(spec.read_text())
+        spec.write_text(json.dumps({**doc, "seed": 4}))
+        assert dispatch(["synth", "--config", str(spec), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_synth_is_deterministic(self, tmp_path):
         spec = landscape_json(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -392,7 +440,7 @@ class TestCheckpoints:
         spec = LandscapeSpec(
             n=5, m=12, max_mutations=3, additive=np.zeros((5, 20)), epistasis=[]
         )
-        fam = synth_family(spec).family
+        fam = synth_family(spec)
         config = ModelConfig.from_json(legacy_run["model"])
         assert config == ModelConfig.from_json(fresh_run["model"])
         expected = predict(fam, fresh_params, config)
@@ -427,6 +475,10 @@ class TestTrainEvalPipeline:
         assert "runtime_s" not in file_doc
         assert file_doc["spearman"] == stdout_doc["spearman"]
         assert set(file_doc["by_mutation_count"]) == {"1-2", "3+"}
+        for edges in ("1,1,3", "3,1"):
+            assert dispatch(["eval", "--ckpt", str(ckpt), "--group-edges", edges]) == 1
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error == "--group-edges must be strictly ascending and non-empty"
 
     def test_eval_file_artifacts_are_reproducible(self, tmp_path, capsys):
         family_path, split_path = make_dataset(tmp_path)
@@ -478,6 +530,16 @@ class TestTrainEvalPipeline:
         assert "knn_k must be positive" in err["error"]
         assert not ckpt.exists()
 
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        # Rejected with the config, before the data files are opened.
+        cfg = run_config_json(tmp_path, tmp_path / "family.csv", tmp_path / "split.csv")
+        ckpt = tmp_path / "model.ckpt"
+        code = dispatch(["train", "--config", str(cfg), "--out", str(ckpt), "--seed", "-1"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "invalid override: seed must be >= 0, got -1"
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize(
         "section,key,value",
         [
@@ -489,6 +551,7 @@ class TestTrainEvalPipeline:
             ("train", "lr", float("inf")),
             ("train", "beta1", 1.0),
             ("train", "eps", 0.0),
+            ("train", "seed", -1),
         ],
     )
     def test_invalid_config_value_is_a_json_error(

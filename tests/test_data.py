@@ -335,10 +335,10 @@ class TestGraphEdges:
     EDGES = np.array([[0, 1], [0, 2], [1, 0], [2, 0]])
 
     def test_valid_edges_accepted(self):
-        assert Graph(3, 1, self.EDGES).edges is self.EDGES
-        unsigned = Graph(3, 1, self.EDGES.astype(np.uint32)).edges
+        assert Graph(3, self.EDGES).edges is self.EDGES
+        unsigned = Graph(3, self.EDGES.astype(np.uint32)).edges
         assert unsigned.dtype == np.int64 and np.array_equal(unsigned, self.EDGES)
-        assert Graph(3, 1, np.zeros((0, 2), dtype=np.int64)).edges.shape == (0, 2)
+        assert Graph(3, np.zeros((0, 2), dtype=np.int64)).edges.shape == (0, 2)
 
     @pytest.mark.parametrize(
         "edges,message",
@@ -357,7 +357,7 @@ class TestGraphEdges:
     )
     def test_invalid_edges_rejected(self, edges, message):
         with pytest.raises(ValueError, match=message):
-            Graph(3, 1, edges)
+            Graph(3, edges)
 
 
 def zero_spec(**kw):
@@ -376,16 +376,16 @@ def zero_spec(**kw):
 
 class TestSynthFamily:
     def test_zero_landscape_gives_zero_targets(self):
-        res = synth_family(zero_spec())
-        np.testing.assert_array_equal(res.family.targets, 0.0)
+        fam = synth_family(zero_spec())
+        np.testing.assert_array_equal(fam.targets, 0.0)
 
     def test_additive_decomposition_oracle(self):
         rng = np.random.default_rng(21)
         spec = zero_spec(additive=rng.normal(size=(6, 20)), seed=5)
-        res = synth_family(spec)
-        wt = res.family.wild_type.sequence
-        wt_y = res.family.targets[res.family.wild_type_index]
-        for rec, y in zip(res.family.records, res.family.targets):
+        fam = synth_family(spec)
+        wt = fam.wild_type.sequence
+        wt_y = fam.targets[fam.wild_type_index]
+        for rec, y in zip(fam.records, fam.targets):
             delta = sum(
                 spec.additive[p, AA_INDEX[rec.sequence[p]]]
                 - spec.additive[p, AA_INDEX[wt[p]]]
@@ -395,32 +395,32 @@ class TestSynthFamily:
             np.testing.assert_allclose(y, wt_y + delta, atol=1e-12)
 
     def test_epistatic_terms_apply(self):
-        res = synth_family(zero_spec(seed=3))
-        wt = res.family.wild_type.sequence
+        fam = synth_family(zero_spec(seed=3))
+        wt = fam.wild_type.sequence
         spec = zero_spec(seed=3, epistasis=[(0, 1, wt[0], wt[1], 2.5)])
-        res2 = synth_family(spec)
-        for rec, y in zip(res2.family.records, res2.family.targets):
+        fam2 = synth_family(spec)
+        for rec, y in zip(fam2.records, fam2.targets):
             expected = 2.5 if rec.sequence[0] == wt[0] and rec.sequence[1] == wt[1] else 0.0
             assert y == expected
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         a, b = synth_family(zero_spec()), synth_family(zero_spec())
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_family(a.family, pa)
-        save_family(b.family, pb)
+        save_family(a, pa)
+        save_family(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_noise_does_not_disturb_sequences(self):
         quiet = synth_family(zero_spec())
         noisy = synth_family(zero_spec(noise_std=0.5))
-        assert [r.sequence for r in quiet.family.records] == [
-            r.sequence for r in noisy.family.records
+        assert [r.sequence for r in quiet.records] == [
+            r.sequence for r in noisy.records
         ]
-        assert not np.allclose(noisy.family.targets, 0.0)
+        assert not np.allclose(noisy.targets, 0.0)
 
     def test_mutation_counts_within_bounds(self):
-        res = synth_family(zero_spec(m=50, max_mutations=3, seed=9))
-        counts = res.family.mutation_counts()
+        fam = synth_family(zero_spec(m=50, max_mutations=3, seed=9))
+        counts = fam.mutation_counts()
         assert counts[0] == 0
         assert np.all(counts[1:] >= 1) and np.all(counts[1:] <= 3)
 
@@ -434,3 +434,40 @@ class TestSynthFamily:
         doc["bogus"] = 1
         with pytest.raises(ValueError, match="unknown landscape keys"):
             LandscapeSpec.from_json(doc)
+
+
+class TestLandscapeSpecChecks:
+    """Spec values are checked like run configs: integers but not booleans,
+    finite numbers, and no coercion. The CLI tests cover the cases that
+    reach ``evolmpnn synth``."""
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("seed", -3, "seed must be >= 0, got -3"),
+            ("additive", [["0.5"] * 20] * 6, "additive weights must be finite numbers"),
+            ("additive", [[True] + [0.5] * 19] * 6, "additive weights must be finite numbers"),
+            ("additive", [[float("nan")] * 20] * 6, "additive weights must be finite numbers"),
+        ],
+    )
+    def test_bad_value_is_named(self, key, value, message):
+        doc = {**zero_spec().to_json(), key: value}
+        with pytest.raises(ValueError) as err:
+            LandscapeSpec.from_json(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "entry,bad",
+        [
+            ([0, 1, "A", "C"], "got [0, 1, 'A', 'C']"),
+            ([0, True, "A", "C", 1.0], "True is not an integer"),
+            ([0, 1, "A", 3, 1.0], "3 is not a string"),
+            ([0, 1, "A", "C", "2"], "'2' is not a finite number"),
+            ([0, 1, "A", "C", float("nan")], "nan is not a finite number"),
+        ],
+    )
+    def test_epistasis_entry_is_int_int_str_str_number(self, entry, bad):
+        with pytest.raises(ValueError) as err:
+            zero_spec(epistasis=[(0, 1, "A", "C", 1.0), entry])
+        assert str(err.value).startswith("epistasis[1] must be [int, int, str, str, number]")
+        assert str(err.value).endswith(bad)

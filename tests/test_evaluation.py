@@ -129,6 +129,12 @@ class TestMutationGroups:
         assert groups["1"].tolist() == [0, 1]
         assert groups["2+"].tolist() == [2, 3]
 
+    @pytest.mark.parametrize("edges", [[1, 1, 3], [3, 1], []])
+    def test_edges_must_be_strictly_ascending(self, edges):
+        # A repeated edge would label an always-empty group "1-0".
+        with pytest.raises(ValueError, match="strictly ascending and non-empty"):
+            group_by_mutation_count(np.array([1, 2, 3]), edges=edges)
+
     def test_small_groups_report_counts_only(self):
         preds = np.array([1.0, 2.0, 3.0, 4.0])
         targets = np.array([1.0, 2.0, 3.0, 4.0])
@@ -313,7 +319,7 @@ class TestLinearBaseline:
             noise_std=0.0,
             seed=11,
         )
-        fam = synth_family(spec).family
+        fam = synth_family(spec)
         split = split_lambda_vs_rest(fam, lam=2, valid_frac=0.1, seed=0)
         metrics = linear_baseline(fam, split)
         assert metrics.spearman is not None and metrics.spearman >= 0.99
@@ -322,7 +328,7 @@ class TestLinearBaseline:
         spec = LandscapeSpec(
             n=6, m=40, max_mutations=3, additive=np.zeros((6, 20)), epistasis=[], seed=2
         )
-        fam = synth_family(spec).family
+        fam = synth_family(spec)
         split = split_lambda_vs_rest(fam, lam=1, valid_frac=0.2, seed=0)
         metrics = linear_baseline(fam, split)
         assert metrics.spearman is None

@@ -13,7 +13,6 @@ from evolmpnn import autodiff as ad
 from evolmpnn import residue_encoder
 from evolmpnn.data import Graph
 from evolmpnn.evolution import (
-    AnchorPolicy,
     AnchorSet,
     anchor_count,
     evolgnn_layer,
@@ -50,55 +49,47 @@ def id_sets(ids, sets):
 class TestSampling:
     def test_order_independence(self):
         ids = [f"p{i}" for i in range(50)]
-        policy = AnchorPolicy(seed=3)
-        a = sample_anchor_sets(ids, policy, layer_index=0)
+        a = sample_anchor_sets(ids, layer_index=0, seed=3)
         reordered = list(reversed(ids))
-        b = sample_anchor_sets(reordered, policy, layer_index=0)
+        b = sample_anchor_sets(reordered, layer_index=0, seed=3)
         assert id_sets(ids, a) == id_sets(reordered, b)
+
+    def test_sets_are_never_empty(self):
+        with pytest.raises(ValueError, match="anchor sets must be non-empty"):
+            AnchorSet(np.array([], dtype=np.int64))
 
     def test_members_come_from_training_pool(self):
         # As ascending positions into the pool as passed.
         ids = [f"p{i}" for i in np.random.default_rng(1).permutation(40)]
-        for s in sample_anchor_sets(ids, AnchorPolicy(seed=1), 0):
+        for s in sample_anchor_sets(ids, 0, seed=1):
             assert s.member_ids.dtype == np.int64
             assert np.all(np.diff(s.member_ids) > 0)
             assert 0 <= s.member_ids[0] and s.member_ids[-1] < len(ids)
 
     def test_layers_resample_by_default(self):
         ids = [f"p{i}" for i in range(64)]
-        policy = AnchorPolicy(seed=0)
-        a = sample_anchor_sets(ids, policy, layer_index=0)
-        b = sample_anchor_sets(ids, policy, layer_index=1)
+        a = sample_anchor_sets(ids, layer_index=0)
+        b = sample_anchor_sets(ids, layer_index=1)
         assert id_sets(ids, a) != id_sets(ids, b)
-
-    def test_resampling_disabled_shares_sets_across_layers(self):
-        ids = [f"p{i}" for i in range(64)]
-        policy = AnchorPolicy(seed=0, resample_per_layer=False)
-        a = sample_anchor_sets(ids, policy, layer_index=0)
-        b = sample_anchor_sets(ids, policy, layer_index=5)
-        assert id_sets(ids, a) == id_sets(ids, b)
 
     def test_draw_refreshes_sets(self):
         ids = [f"p{i}" for i in range(64)]
-        policy = AnchorPolicy(seed=0)
-        a = sample_anchor_sets(ids, policy, 0, draw=0)
-        b = sample_anchor_sets(ids, policy, 0, draw=1)
+        a = sample_anchor_sets(ids, 0, draw=0)
+        b = sample_anchor_sets(ids, 0, draw=1)
         assert id_sets(ids, a) != id_sets(ids, b)
 
     def test_empty_set_falls_back_to_wild_type(self):
         # Tiny pool and deep sets: some Bernoulli draws will come out empty.
         ids = ["a", "wt", "b"]
-        policy = AnchorPolicy(k=64, seed=2)
-        sets = sample_anchor_sets(ids, policy, 0, fallback_id="wt")
+        sets = sample_anchor_sets(ids, 0, fallback_id="wt", k=64, seed=2)
         assert all(len(s.member_ids) for s in sets)
         fallen = [s for s in sets if s.fallback_used]
         assert fallen  # fallback exercised
         assert all(s.member_ids.tolist() == [1] for s in fallen)
-        assert all(s.raw_size == 0 for s in fallen)
 
     def test_empty_set_falls_back_to_smallest_id_without_wild_type(self):
         ids = ["c", "b", "x"]
-        sets = sample_anchor_sets(ids, AnchorPolicy(k=64, seed=2), 0, fallback_id="wt")
+        sets = sample_anchor_sets(ids, 0, fallback_id="wt", k=64, seed=2)
         fallen = [s for s in sets if s.fallback_used]
         assert fallen
         assert all(s.member_ids.tolist() == [1] for s in fallen)  # "b"
@@ -110,7 +101,7 @@ class TestSampling:
         ids = [f"p{i}" for i in range(m)]
         sizes = []
         for draw in range(reps):
-            sets = sample_anchor_sets(ids, AnchorPolicy(k=1, seed=7), 0, draw=draw)
+            sets = sample_anchor_sets(ids, 0, draw=draw, k=1, seed=7)
             sizes.append(len(sets[0].member_ids))
         sigma_mean = np.sqrt(m * 0.5 * 0.5 / reps)
         assert abs(np.mean(sizes) - m * 0.5) <= 3 * sigma_mean
@@ -120,7 +111,7 @@ class TestSampling:
     )
     def test_matches_pure_python_reference(self, seed, draw, layer):
         ids = [f"p{i}" for i in range(50)]
-        sets = sample_anchor_sets(ids, AnchorPolicy(seed=seed), layer, draw, "p7")
+        sets = sample_anchor_sets(ids, layer, draw, "p7", seed=seed)
         expected = reference_anchor_sets(ids, seed, draw, layer, anchor_count(50), "p7")
         got = zip(id_sets(ids, sets), (s.fallback_used for s in sets))
         assert list(got) == expected
@@ -128,9 +119,9 @@ class TestSampling:
 
     def test_negative_seed_wraps_modulo_2_64(self):
         ids = [f"p{i}" for i in range(64)]
-        neg = sample_anchor_sets(ids, AnchorPolicy(seed=-1), 0)
-        wrapped = sample_anchor_sets(ids, AnchorPolicy(seed=2**64 - 1), 0)
-        zero = sample_anchor_sets(ids, AnchorPolicy(seed=0), 0)
+        neg = sample_anchor_sets(ids, 0, seed=-1)
+        wrapped = sample_anchor_sets(ids, 0, seed=2**64 - 1)
+        zero = sample_anchor_sets(ids, 0, seed=0)
         assert id_sets(ids, neg) == id_sets(ids, wrapped)
         assert id_sets(ids, neg) != id_sets(ids, zero)
 
@@ -141,15 +132,15 @@ class TestSampling:
         ids = [f"v{i}" for i in range(m)]
         tracemalloc.start()
         try:
-            sets = sample_anchor_sets(ids, AnchorPolicy(k=k, seed=11), 0)
+            sets = sample_anchor_sets(ids, 0, k=k, seed=11)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64e6
         by_prob: dict[float, list[int]] = {}
-        for s in sets:
-            assert s.inclusion_prob == inclusion_probability(s.index, m)
-            by_prob.setdefault(s.inclusion_prob, []).append(s.raw_size)
+        for j, s in enumerate(sets, start=1):
+            raw_size = 0 if s.fallback_used else len(s.member_ids)
+            by_prob.setdefault(inclusion_probability(j, m), []).append(raw_size)
         assert len(by_prob) == 17  # ceil(log2 82583)
         for p, sizes in by_prob.items():
             n = len(sizes) * m
@@ -283,7 +274,7 @@ class TestEvolMpnnLayer:
     def make_case(self, m=5, n=3, d=4, k=3, seed=0):
         rng = np.random.default_rng(seed)
         ids = [f"p{i}" for i in range(m)]
-        sets = sample_anchor_sets(ids, AnchorPolicy(k=k, seed=seed), 0)
+        sets = sample_anchor_sets(ids, 0, k=k, seed=seed)
         h = rng.normal(size=(m, d))
         residues = rng.normal(size=(m, n, d))
         w = rng.normal(size=(2 * d, d))
@@ -365,7 +356,7 @@ class TestEvolMpnnLayer:
         d = 6
         rows_of_pool = rng.permutation(m)
         ids = [f"v{i}" for i in rows_of_pool]
-        sets = sample_anchor_sets(ids, AnchorPolicy(seed=3), 0)
+        sets = sample_anchor_sets(ids, 0, seed=3)
         members = [np.sort(rows_of_pool[s.member_ids]) for s in sets]
         arrays = [
             rng.standard_normal(shape).astype(dtype)
@@ -388,7 +379,7 @@ class TestEvolMpnnLayer:
         m, d = 82583, 8
         rng = np.random.default_rng(13)
         ids = [f"v{i}" for i in range(m)]
-        members = [s.member_ids for s in sample_anchor_sets(ids, AnchorPolicy(seed=2), 0)]
+        members = [s.member_ids for s in sample_anchor_sets(ids, 0, seed=2)]
         assert len(members) == 289
         leaves = [
             ad.Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -426,7 +417,7 @@ def naive_evolgnn(h, r_bar, adj, w_n, w_g, w_c):
 
 def graph_of(adj):
     """The edge list of a 0/1 adjacency matrix, in row-major order."""
-    return Graph(n_nodes=len(adj), k=1, edges=np.argwhere(adj > 0))
+    return Graph(n_nodes=len(adj), edges=np.argwhere(adj > 0))
 
 
 class TestEvolGnnLayer:
@@ -487,7 +478,7 @@ class TestEvolGnnLayer:
         pairs = [(ring, (ring + s) % m) for s in (1, 2, 3, 4, 5)]
         pairs += [(b, a) for a, b in pairs]
         edges = np.unique(np.concatenate([np.stack(p, axis=1) for p in pairs]), axis=0)
-        graph = Graph(n_nodes=m, k=10, edges=edges)
+        graph = Graph(n_nodes=m, edges=edges)
         leaves = [ad.Tensor(a, requires_grad=True) for a in (h, r_bar, w_n, w_g, w_c)]
         tracemalloc.start()
         try:

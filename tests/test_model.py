@@ -16,7 +16,7 @@ from evolmpnn.data import (
     split_lambda_vs_rest,
     synth_family,
 )
-from evolmpnn.evolution import AnchorPolicy, sample_anchor_sets
+from evolmpnn.evolution import sample_anchor_sets
 from evolmpnn.model import (
     ModelConfig,
     Prediction,
@@ -70,8 +70,6 @@ class TestForwardShapes:
         pred = forward(fam, params, config, graph=graph)
         assert pred.y_hat.shape == (fam.m, 1)
         assert pred.z.shape == (fam.m, 2 * config.d)
-        assert pred.z_p.shape == (fam.m, config.d)
-        assert pred.z_r.shape == (fam.m, config.d)
 
     def test_zero_head_gives_zero_predictions(self):
         fam = tiny_family()
@@ -121,7 +119,7 @@ class TestAgainstStraightLineOracle:
         r_bar = r.mean(axis=1)
         h = t["protein_embed"][enc].mean(axis=1)
         sets = sample_anchor_sets(
-            fam.ids, config.anchor_policy(), 0, draw=0, fallback_id=fam.wild_type.id
+            fam.ids, 0, 0, fam.wild_type.id, k=config.anchor_k, seed=config.anchor_seed
         )
         h = naive_evolmpnn(h, r, sets, t["evo0.combine"])
         z = np.concatenate([h, r_bar], axis=1)
@@ -192,6 +190,42 @@ class TestSubsetsAndEquivariance:
         b = forward(fam, params, config, anchor_draw=0)
         assert np.array_equal(a.y_hat, b.y_hat)
 
+    def test_frozen_anchors_ignore_layer_and_draw(self, monkeypatch):
+        # With resample_anchors off, build_forward hands every layer and
+        # every anchor_draw the draw-0, layer-0 sets.
+        spec = LandscapeSpec(n=6, m=64, max_mutations=3, additive=np.zeros((6, 20)), seed=3)
+        fam = synth_family(spec)
+        calls = []
+        sample = model_module.sample_anchor_sets
+
+        def spying(*args, **kwargs):
+            sets = sample(*args, **kwargs)
+            calls.append(tuple((tuple(s.member_ids), s.fallback_used) for s in sets))
+            return sets
+
+        monkeypatch.setattr(model_module, "sample_anchor_sets", spying)
+        for resample in (True, False):
+            config = tiny_config(resample_anchors=resample, l_p=2)
+            params = init_params(config, fam.n, seed=8)
+            calls.clear()
+            draw0, draw5 = (forward(fam, params, config, anchor_draw=d) for d in (0, 5))
+            assert len(calls) == 4  # two layers, two draws
+            if resample:
+                assert len(set(calls)) == 4
+            else:
+                assert len(set(calls)) == 1
+                assert draw5.y_hat.tobytes() == draw0.y_hat.tobytes()
+                assert draw5.z.tobytes() == draw0.z.tobytes()
+
+    def test_negative_anchor_seed_wraps_modulo_2_64(self):
+        fam = tiny_family()
+        params = init_params(tiny_config(), fam.n, seed=8)
+        neg = forward(fam, params, tiny_config(anchor_seed=-1))
+        wrapped = forward(fam, params, tiny_config(anchor_seed=2**64 - 1))
+        zero = forward(fam, params, tiny_config(anchor_seed=0))
+        assert neg.y_hat.tobytes() == wrapped.y_hat.tobytes()
+        assert neg.y_hat.tobytes() != zero.y_hat.tobytes()
+
     @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
     def test_float32_stays_float32(self, variant):
         fam = tiny_family()
@@ -224,16 +258,15 @@ class TestRequestedRows:
     def test_no_rows_give_empty_outputs(self, variant):
         fam, config, params, graph = self.setup_case(variant)
         pred = forward(fam, params, config, rows=[], graph=graph)
-        assert pred.rows == []
         assert pred.y_hat.shape == (0, 1) and pred.z.shape == (0, 2 * config.d)
-        assert pred.z_p.shape == (0, config.d) and pred.z_r.shape == (0, config.d)
 
     @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
     def test_numpy_integer_rows_accepted(self, variant):
         fam, config, params, graph = self.setup_case(variant)
         pred = forward(fam, params, config, rows=np.array([3, 1]), graph=graph)
         full = forward(fam, params, config, graph=graph)
-        assert pred.rows == [3, 1]
+        fg = build_forward(fam, params, config, rows=np.array([3, 1]), graph=graph, grad=False)
+        assert fg.rows == [3, 1]
         np.testing.assert_allclose(pred.y_hat, full.y_hat[[3, 1]], atol=1e-12)
 
 
@@ -265,7 +298,7 @@ class TestTrainIds:
         spec = LandscapeSpec(
             n=6, m=200, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=15
         )
-        fam = synth_family(spec).family
+        fam = synth_family(spec)
         config = tiny_config(dtype=dtype, d=8, l_p=2)
         params = init_params(config, fam.n, seed=16)
         pool = [fam.ids[i] for i in rng.permutation(fam.m)[:150]]
@@ -285,7 +318,7 @@ class TestEvolformerQueryRows:
         spec = LandscapeSpec(
             n=6, m=32, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=13
         )
-        fam = synth_family(spec).family
+        fam = synth_family(spec)
         config = tiny_config("evolformer", dtype=dtype, l_r=1, l_p=l_p)
         return fam, config, init_params(config, fam.n, seed=14)
 
@@ -295,7 +328,7 @@ class TestEvolformerQueryRows:
         fam, config, params = self.setup_case(dtype, l_p)
         full = build_forward(fam, params, config)
         subset = build_forward(fam, params, config, rows=self.ROWS)
-        for name in ("y_hat", "z", "z_p", "z_r"):
+        for name in ("y_hat", "z"):
             got, expected = getattr(subset, name).data, getattr(full, name).data
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected[self.ROWS].tobytes(), name
@@ -373,7 +406,7 @@ class TestGradientFreeInference:
         spec = LandscapeSpec(
             n=6, m=32, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=11
         )
-        fam = synth_family(spec).family
+        fam = synth_family(spec)
         split = split_lambda_vs_rest(fam, lam=2, valid_frac=0.2, seed=0)
         train_ids = [fam.ids[i] for i in split.rows(fam, "train")]
         rows = split.rows(fam, "test")
@@ -410,12 +443,9 @@ class TestGradientFreeInference:
             assert max(query_rows) == 5 and min(query_rows) < 5
 
         fg = build_forward(fam, params, config, **kw)
-        for got, expected in zip(
-            (pred.y_hat, pred.z, pred.z_p, pred.z_r), (fg.y_hat, fg.z, fg.z_p, fg.z_r)
-        ):
+        for got, expected in zip((pred.y_hat, pred.z), (fg.y_hat, fg.z)):
             assert got.dtype == expected.data.dtype
             assert got.tobytes() == expected.data.tobytes()
-        assert pred.rows == fg.rows
 
         inference = build_forward(fam, params, config, grad=False, **kw)
         assert not inference.y_hat.requires_grad

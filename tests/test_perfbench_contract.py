@@ -34,7 +34,7 @@ def small_task():
     spec = LandscapeSpec(
         n=6, m=32, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=5
     )
-    fam = synth_family(spec).family
+    fam = synth_family(spec)
     return fam, split_lambda_vs_rest(fam, lam=2, valid_frac=0.2, seed=0)
 
 

@@ -30,7 +30,7 @@ def small_problem(seed=7, m=48, n=8, max_mut=4, lam=2):
         noise_std=0.0,
         seed=seed,
     )
-    fam = synth_family(spec).family
+    fam = synth_family(spec)
     split = split_lambda_vs_rest(fam, lam=lam, valid_frac=0.15, seed=0)
     return fam, split
 
@@ -88,6 +88,12 @@ class TestAdam:
         tensors = {"w": np.ones(2), "frozen": np.ones(2)}
         opt.step(tensors, {"w": np.ones(2)})
         np.testing.assert_array_equal(tensors["frozen"], 1.0)
+
+
+class TestTrainConfig:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
 
 class TestTrainLoop:
@@ -172,7 +178,7 @@ class TestTrainLoop:
                 tags[k] = "train"
         from evolmpnn.data import SplitAssignment
 
-        no_valid = SplitAssignment(tags, {"name": "degenerate"})
+        no_valid = SplitAssignment(tags)
         with pytest.raises(TrainingError, match="validation"):
             train(fam, no_valid, small_config(), TrainConfig(epochs=1))
 
