@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import os
 
-# Thread cap must land before numpy binds its BLAS thread pool.
-_threads = os.environ.get("EVOLMPNN_THREADS")
-if _threads:
+from . import worker_threads
+
+# With EVOLMPNN_THREADS set, the package's row blocks run on that many Python
+# threads, and each block's small GEMMs stay on one BLAS thread: BLAS threads
+# on top of the workers only contend for the same cores. This must land
+# before numpy binds its BLAS thread pool.
+if worker_threads() is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+        os.environ.setdefault(_var, "1")
 
 import argparse
 import hashlib
@@ -406,7 +410,7 @@ def cmd_distortion(args) -> int:
         from .data import pairwise_hamming
 
         base = pairwise_hamming(family.encoded).astype(float)
-        emb = bourgain_embedding(base, seed=args.seed or 0)
+        emb = bourgain_embedding(base, seed=args.seed)
         report = distortion(emb, family, metric="hamming")
     print(json.dumps(report.to_json(), sort_keys=True))
     _write_json(report.to_json(), args.out)

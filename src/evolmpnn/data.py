@@ -1,7 +1,9 @@
 """Homologous protein families: ingestion, splits, K-NN graphs, synthesis.
 
 All operations are pure given their inputs and a seed, so shared Family
-values are safe to read from multiple threads.
+values are safe to read from multiple threads. The row-block helpers that
+the package's all-pairs and inference loops share live here too, with the
+worker pool that ``map_blocks`` runs their blocks on.
 """
 
 from __future__ import annotations
@@ -9,10 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from . import worker_threads
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 AA_INDEX = {a: i for i, a in enumerate(ALPHABET)}
@@ -298,6 +304,8 @@ def _carve_validation(
     """
     if not 0 < valid_frac < 1:
         raise SplitError(f"valid_frac must be in (0,1), got {valid_frac}")
+    if not (_is_int(seed) or isinstance(seed, np.integer)) or seed < 0:
+        raise SplitError(f"seed must be an integer >= 0, got {seed!r}")
     wt = family.wild_type_index
     candidates = [r for r in pool_rows if r != wt]
     n_valid = min(math.ceil(valid_frac * len(pool_rows)), len(candidates))
@@ -380,13 +388,51 @@ class Graph:
 
 # Bytes per row block of the all-pairs distance helpers (K-NN, Hamming
 # matrix, distortion) and per edge block of ``autodiff.neighbor_sum``.
-# Blocks that stay near the CPU caches ran fastest.
+# Blocks that stay near the CPU caches ran fastest. ``map_blocks`` keeps one
+# block in flight per worker thread, so their scratch is W times this.
 _BLOCK_BYTES = 4 << 20
 
 
 def _block_rows(bytes_per_row: int) -> int:
     """Rows per block when each row needs ``bytes_per_row`` of scratch."""
     return max(1, _BLOCK_BYTES // bytes_per_row)
+
+
+# The one worker pool of the process, sized by EVOLMPNN_THREADS; None (run
+# serially) when the variable is unset or 1. The executor starts its threads
+# on first use.
+_threads = worker_threads() or 1
+_POOL = ThreadPoolExecutor(_threads, thread_name_prefix="evolmpnn") if _threads > 1 else None
+_in_pool = threading.local()
+
+
+def _run_in_pool(fn, start):
+    _in_pool.active = True
+    try:
+        return fn(start)
+    finally:
+        _in_pool.active = False
+
+
+def map_blocks(fn, starts) -> list:
+    """``[fn(s) for s in starts]``, in order, spread over the worker pool.
+
+    Every ``fn(s)`` must depend only on its own block and write nothing
+    another block reads, so the results do not depend on the worker count.
+    Without a pool, for a single block, or when called from a pool thread
+    (so nested use cannot deadlock) the calls run serially in this thread.
+    The exception of the first failing block, in order, reaches the caller
+    unchanged, and blocks not yet started are cancelled.
+    """
+    starts = list(starts)
+    if _POOL is None or len(starts) < 2 or getattr(_in_pool, "active", False):
+        return [fn(s) for s in starts]
+    futures = [_POOL.submit(_run_in_pool, fn, s) for s in starts]
+    try:
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()
 
 
 def _hamming_rows(encoded: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -400,9 +446,12 @@ def pairwise_hamming(encoded: np.ndarray) -> np.ndarray:
     out = np.zeros((m, m), dtype=np.int32)
     # Per row: an M x N bool comparison and an M-long int64 row of counts.
     block = _block_rows(m * (n + 8))
-    for start in range(0, m, block):
+
+    def fill(start):
         stop = min(start + block, m)
         out[start:stop] = _hamming_rows(encoded, start, stop)
+
+    map_blocks(fill, range(0, m, block))
     return out
 
 
@@ -410,7 +459,8 @@ def knn_graph(family: Family, k: int) -> Graph:
     """Directed K-NN under Hamming distance, symmetrized by union.
 
     Distance ties break on ascending record index. Distances are computed
-    for one block of rows at a time, so memory stays O(M * block).
+    for one block of rows per worker thread at a time, so memory stays
+    O(W * M * block) for W workers.
     """
     m = family.m
     if k < 1:
@@ -422,12 +472,15 @@ def knn_graph(family: Family, k: int) -> Graph:
     block = _block_rows(m * (family.n + 24))
     index = np.arange(m)
     nearest = np.empty((m, k), dtype=np.int64)
-    for start in range(0, m, block):
+
+    def fill(start):
         stop = min(start + block, m)
         # One key per candidate orders by distance, then by record index.
         key = _hamming_rows(family.encoded, start, stop) * m + index
         key[index[: stop - start], index[start:stop]] = np.iinfo(np.int64).max  # not self
         nearest[start:stop] = np.argpartition(key, k - 1, axis=1)[:, :k]
+
+    map_blocks(fill, range(0, m, block))
     rows, cols = np.repeat(index, k), nearest.reshape(-1)
     pairs = np.stack([np.concatenate([rows, cols]), np.concatenate([cols, rows])], axis=1)
     return Graph(n_nodes=m, edges=np.unique(pairs, axis=0))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ALPHABET, Family, Graph, SplitAssignment, _block_rows, _hamming_rows
+from .data import ALPHABET, Family, Graph, SplitAssignment, _block_rows, _hamming_rows, map_blocks
 from .evolution import anchor_count, sample_anchor_sets
 from .model import ModelConfig, ModelParams, forward
 
@@ -223,8 +223,11 @@ def distortion(
     invariant to a global rescaling of the embedding. A zero embedded
     distance for a separated pair reports alpha as infinity.
 
-    Pairs i < j are measured one block of rows i at a time, so memory stays
-    O(block * M * D); a family's Hamming distances are computed per block.
+    Pairs i < j are measured in blocks of rows i, one block per worker
+    thread at a time, so memory stays O(W * block * M * D) for W workers; a
+    family's Hamming distances are computed per block. Each block reports
+    its own worst ratios, and the maxima over blocks are exact, so alpha does
+    not depend on the blocks or workers.
     """
     emb = np.atleast_2d(np.asarray(embedded, dtype=np.float64))
     if not np.all(np.isfinite(emb)):
@@ -241,10 +244,9 @@ def distortion(
         raise ValueError("embedding rows must match the metric space size")
     # Per row: an M x D float64 difference block and a few M-long rows.
     block = _block_rows(m * 8 * (emb.shape[1] + 8))
-    expansion = contraction = 0.0
-    n_pairs = 0
-    collapsed = False
-    for lo in range(0, m, block):
+
+    def measure(lo):
+        """(worst expansion, worst contraction, pairs, collapsed) of one block."""
         hi = min(lo + block, m)
         # Row r of the block is record lo + r; column c is record lo + c.
         diffs = emb[lo:hi, None, :] - emb[None, lo:, :]
@@ -256,16 +258,18 @@ def distortion(
         keep = (base > 0) & (np.arange(m - lo) > np.arange(hi - lo)[:, None])
         f_base = base[keep]
         f_emb = emb_dist[keep]
-        n_pairs += f_base.size
-        collapsed = collapsed or bool(np.any(f_emb == 0))
-        if f_base.size and not collapsed:
-            expansion = max(expansion, float(np.max(f_emb / f_base)))
-            contraction = max(contraction, float(np.max(f_base / f_emb)))
+        collapsed = bool(np.any(f_emb == 0))
+        if not f_base.size or collapsed:
+            return 0.0, 0.0, f_base.size, collapsed
+        return float(np.max(f_emb / f_base)), float(np.max(f_base / f_emb)), f_base.size, False
+
+    expansion, contraction, pairs, collapsed = zip(*map_blocks(measure, range(0, m, block)))
+    n_pairs = sum(pairs)
     if n_pairs == 0:
         raise ValueError("no separated pairs to measure")
-    if collapsed:
+    if any(collapsed):
         return DistortionReport(alpha=float("inf"), pairs=n_pairs, metric=metric)
-    return DistortionReport(alpha=expansion * contraction, pairs=n_pairs, metric=metric)
+    return DistortionReport(alpha=max(expansion) * max(contraction), pairs=n_pairs, metric=metric)
 
 
 def bourgain_embedding(
@@ -274,8 +278,10 @@ def bourgain_embedding(
     """Reference landmark embedding: min distance to each sampled set, over k.
 
     Uses the same cycling Bernoulli sampler as the evolution layers, so the
-    anchor-count policy and set statistics are shared.
+    anchor-count policy and set statistics are shared. ``seed`` must be >= 0.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     base = _check_base_matrix(base_matrix)
     m = base.shape[0]
     ids = [str(i) for i in range(m)]

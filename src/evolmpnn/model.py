@@ -20,8 +20,10 @@ is asked about, so a training step's last layer is O(B * M).
 
 Only training steps build the autodiff graph. Inference and validation run
 with constant leaves, so no op keeps its inputs or a backward closure, and
-they encode proteins and attend from query rows in blocks: their memory is
-O(block * N^2 + block * M + M * d).
+they encode proteins and attend from query rows in independent blocks,
+spread over ``data.map_blocks``'s W worker threads: their memory is
+O(W * block * N^2 + W * block * M + M * d), and their outputs do not depend
+on W.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .data import ALPHABET, Family, Graph, _is_int, check_field_types
+from .data import ALPHABET, Family, Graph, _is_int, check_field_types, map_blocks
 from .embeddings import (
     apply_positional,
     init_positional_table,
@@ -78,6 +80,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
         if self.anchor_k is not None and self.anchor_k < 1:
             raise ValueError("anchor_k must be positive when set")
+        if self.anchor_seed < 0:
+            raise ValueError(f"anchor_seed must be >= 0, got {self.anchor_seed}")
         if self.residue_mode not in ("onehot", "sidecar"):
             raise ValueError(f"unknown residue_mode {self.residue_mode!r}")
         if self.protein_mode not in ("onehot-mean", "sidecar"):
@@ -281,8 +285,9 @@ def build_forward(
     Training passes ``grad=True``: the leaves require gradients and every op
     records its backward closure. Inference and validation pass
     ``grad=False``: the leaves are constants, so no graph is kept, and the
-    per-protein encoding and evolformer's query rows run in blocks. Its
-    memory is then O(block * N^2 + block * M + M * d).
+    per-protein encoding and evolformer's query rows run in blocks on W
+    worker threads. Its memory is then O(W * block * N^2 + W * block * M +
+    M * d).
 
     ``rows`` are family row indices, in any order and possibly repeated;
     each must be an integer in [0, M). ``train_ids``, the anchor pool
@@ -327,13 +332,14 @@ def build_forward(
                 )
         active = np.arange(family.m)
     # Each protein is encoded alone. Inference encodes row blocks, which
-    # bounds the residue stack's memory; training keeps one block, because
-    # summing weight gradients over blocks would reorder their float sums.
+    # bounds the residue stack's memory and lets the blocks run on the worker
+    # pool; training keeps one block, because summing weight gradients over
+    # blocks would reorder their float sums.
     step = len(active) if grad else block_rows(family.n**2)
-    blocks = [
-        _encode_rows(family, active[lo : lo + step], leaves, config)
-        for lo in range(0, len(active), step)
-    ]
+    blocks = map_blocks(
+        lambda lo: _encode_rows(family, active[lo : lo + step], leaves, config),
+        range(0, len(active), step),
+    )
     if len(blocks) == 1:
         r_bar, h = blocks[0]
     else:

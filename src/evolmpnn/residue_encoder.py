@@ -16,13 +16,15 @@ import math
 import numpy as np
 
 from . import autodiff as ad
+from .data import map_blocks
 
 LAYERNORM_EPS = 1e-8
 
 # Inference works in blocks of about this many bytes of float64 attention
 # logits per head: 64 proteins at N = 32 in the residue stack, which ran
 # faster than larger blocks whose activations no longer stay in cache, and
-# 64 query rows at M = 1,024 in the protein-level layer.
+# 64 query rows at M = 1,024 in the protein-level layer. Each worker thread
+# of ``data.map_blocks`` holds one block.
 _ENCODE_BLOCK_BYTES = 512 << 10
 
 
@@ -56,7 +58,8 @@ def attention_layer(
     Each head's keys and values are computed once over all M rows; queries,
     logits, softmax, residual, feed-forward and LayerNorm run only for the
     query rows. When no input requires a gradient, a 2-D ``x`` is processed
-    in blocks of query rows, so memory is O(block * M + M * d).
+    in blocks of query rows on the worker pool, so memory is
+    O(W * block * M + M * d) for W workers.
     """
     d = x.shape[-1]
     scale = 1.0 / math.sqrt(d)
@@ -104,7 +107,9 @@ def attention_layer(
     index = np.arange(x.shape[0]) if index is None else index
     step = block_rows(x.shape[0])
     # An empty query set still runs one empty block, giving a (0, d) output.
-    blocks = [attend(index[lo : lo + step]) for lo in range(0, len(index), step) or [0]]
+    blocks = map_blocks(
+        lambda lo: attend(index[lo : lo + step]), range(0, len(index), step) or [0]
+    )
     if len(blocks) == 1:
         return blocks[0]
     return ad.constant(np.concatenate([block.data for block in blocks]))

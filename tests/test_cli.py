@@ -191,6 +191,22 @@ class TestSynthAndSplit:
         err = json.loads(capsys.readouterr().err)
         assert "lambda" in err["error"]
 
+    @pytest.mark.parametrize(
+        "mode", [["--mode", "lambda", "--lambda", "2"], ["--mode", "low-high"]]
+    )
+    def test_split_negative_seed_names_the_field(self, tmp_path, capsys, mode):
+        family_path, _ = make_dataset(tmp_path)
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        code = dispatch(
+            ["split", "--family", str(family_path), *mode, "--seed", "-1", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "seed must be an integer >= 0, got -1"}
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             dispatch(["split", "--bogus", "x"])
@@ -420,6 +436,13 @@ class TestCheckpoints:
         assert dispatch(["eval", "--ckpt", str(path)]) == 1
         assert re.search(message, json.loads(capsys.readouterr().err)["error"])
 
+    def test_negative_anchor_seed_is_an_eval_error(self, tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        self.write_edited(path, lambda m: m["config"]["model"].update(anchor_seed=-3))
+        assert dispatch(["eval", "--ckpt", str(path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "anchor_seed must be >= 0, got -3"
+
     @pytest.mark.parametrize("config", [["model"], {"model": ["d"]}], ids=["config", "model"])
     def test_model_config_must_be_an_object(self, tmp_path, capsys, config):
         path = tmp_path / "model.ckpt"
@@ -547,6 +570,7 @@ class TestTrainEvalPipeline:
             ("model", "heads", True),
             ("model", "resample_anchors", "false"),
             ("model", "anchor_k", 0),
+            ("model", "anchor_seed", -3),
             ("train", "epochs", 2.5),
             ("train", "lr", float("inf")),
             ("train", "beta1", 1.0),
@@ -624,6 +648,19 @@ class TestTrainEvalPipeline:
         assert dispatch(["distortion", "--ckpt", str(ckpt)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pairs"] > 0
+
+    def test_distortion_negative_seed_names_the_field(self, tmp_path, capsys):
+        family_path, _ = make_dataset(tmp_path)
+        out = tmp_path / "d.json"
+        capsys.readouterr()
+        code = dispatch(
+            ["distortion", "--family", str(family_path), "--seed", "-1", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "seed must be >= 0, got -1"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("variant,code", [("evolmpnn", 1), ("evolformer", 0)])
     def test_distortion_without_split(self, tmp_path, capsys, variant, code):

@@ -210,6 +210,16 @@ class TestLambdaVsRest:
         assert a.tags != b.tags
         assert a.tags == split_lambda_vs_rest(fam, 1, 0.3, seed=0).tags
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        fam = make_family(["AAAA", "AAAC", "AACA", "CCCC"], targets=[0.0, -1.0, -2.0, 1.0])
+        for split in (
+            lambda: split_lambda_vs_rest(fam, 1, 0.3, seed=seed),
+            lambda: split_low_vs_high(fam, 0.3, seed=seed),
+        ):
+            with pytest.raises(SplitError, match=f"seed must be an integer >= 0, got {seed!r}"):
+                split()
+
 
 class TestLowVsHigh:
     def test_definition(self):

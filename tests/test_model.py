@@ -217,14 +217,16 @@ class TestSubsetsAndEquivariance:
                 assert draw5.y_hat.tobytes() == draw0.y_hat.tobytes()
                 assert draw5.z.tobytes() == draw0.z.tobytes()
 
-    def test_negative_anchor_seed_wraps_modulo_2_64(self):
+    def test_anchor_seed_is_non_negative_and_wraps_modulo_2_64(self):
+        with pytest.raises(ValueError, match="anchor_seed must be >= 0, got -3"):
+            tiny_config(anchor_seed=-3)
         fam = tiny_family()
         params = init_params(tiny_config(), fam.n, seed=8)
-        neg = forward(fam, params, tiny_config(anchor_seed=-1))
-        wrapped = forward(fam, params, tiny_config(anchor_seed=2**64 - 1))
+        big = forward(fam, params, tiny_config(anchor_seed=2**64 + 3))
+        wrapped = forward(fam, params, tiny_config(anchor_seed=3))
         zero = forward(fam, params, tiny_config(anchor_seed=0))
-        assert neg.y_hat.tobytes() == wrapped.y_hat.tobytes()
-        assert neg.y_hat.tobytes() != zero.y_hat.tobytes()
+        assert big.y_hat.tobytes() == wrapped.y_hat.tobytes()
+        assert big.y_hat.tobytes() != zero.y_hat.tobytes()
 
     @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
     def test_float32_stays_float32(self, variant):
