@@ -7,7 +7,6 @@ before numpy loads its BLAS backend.
 from __future__ import annotations
 
 import importlib
-import os
 
 __version__ = "0.1.0"
 
@@ -22,17 +21,6 @@ _SUBMODULES = (
     "evaluation",
     "cli",
 )
-
-
-def worker_threads() -> int | None:
-    """Python worker threads that ``EVOLMPNN_THREADS`` asks for, or None when
-    it is unset or empty. Any other value must be a positive integer."""
-    raw = os.environ.get("EVOLMPNN_THREADS", "")
-    if not raw:
-        return None
-    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
-        raise ValueError(f"EVOLMPNN_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def __getattr__(name: str):

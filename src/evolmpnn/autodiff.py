@@ -307,8 +307,10 @@ def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, index, g)
+            full = np.zeros(a.data.shape, dtype=a.data.dtype)
+            dst = index.reshape(-1).astype(np.intp)  # uint8 lookups would overflow
+            edges = np.arange(dst.size)
+            _add_rows_at(full.reshape(len(full), -1), dst, g.reshape(dst.size, -1), edges)
             a._accumulate(full)
 
     return _result(data, (a,), backward)

@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import os
 
-from . import worker_threads
-
-# With EVOLMPNN_THREADS set, the package's row blocks run on that many Python
-# threads, and each block's small GEMMs stay on one BLAS thread: BLAS threads
-# on top of the workers only contend for the same cores. This must land
-# before numpy binds its BLAS thread pool.
-if worker_threads() is not None:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, "1")
+# The package's row blocks run on one Python thread per usable CPU, so each
+# block's small GEMMs stay on one BLAS thread: BLAS threads on top of the
+# workers only contend for the same cores. An explicit setting wins. This
+# must land before numpy binds its BLAS thread pool.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import hashlib
@@ -34,6 +31,7 @@ from .data import (
     load_family,
     load_landscape_spec,
     load_split,
+    pairwise_hamming,
     save_family,
     save_split,
     split_lambda_vs_rest,
@@ -275,6 +273,17 @@ def _load_inputs(config: ModelConfig, data: dict):
     return family, split, graph
 
 
+def _load_checkpoint_run(args) -> tuple[ModelParams, ModelConfig, dict]:
+    """``args.ckpt``'s parameters, model config and data paths, with the
+    ``--family`` and ``--split`` overrides that the subcommand was given."""
+    params, run_config = load_checkpoint(args.ckpt)
+    data = dict(run_config.get("data", {}))
+    for key in ("family", "split"):
+        if getattr(args, key, None):
+            data[key] = getattr(args, key)
+    return params, ModelConfig.from_json(run_config["model"]), data
+
+
 def _write_json(doc: dict, out_path=None) -> None:
     text = json.dumps(doc, sort_keys=True)
     if out_path:
@@ -360,13 +369,7 @@ def _parse_group_edges(text: str | None):
 
 
 def cmd_eval(args) -> int:
-    params, run_config = load_checkpoint(args.ckpt)
-    model_config = ModelConfig.from_json(run_config["model"])
-    data = dict(run_config.get("data", {}))
-    if args.family:
-        data["family"] = args.family
-    if args.split:
-        data["split"] = args.split
+    params, model_config, data = _load_checkpoint_run(args)
     if not data.get("family") or not data.get("split"):
         raise ConfigError("eval needs --family/--split or paths in the checkpoint")
     family, split, graph = _load_inputs(model_config, data)
@@ -387,11 +390,7 @@ def cmd_eval(args) -> int:
 
 def cmd_distortion(args) -> int:
     if args.ckpt:
-        params, run_config = load_checkpoint(args.ckpt)
-        model_config = ModelConfig.from_json(run_config["model"])
-        data = dict(run_config.get("data", {}))
-        if args.family:
-            data["family"] = args.family
+        params, model_config, data = _load_checkpoint_run(args)
         if not data.get("family"):
             raise ConfigError("distortion needs --family or a checkpoint data path")
         if model_config.variant == "evolmpnn" and not data.get("split"):
@@ -407,8 +406,6 @@ def cmd_distortion(args) -> int:
         if not args.family:
             raise ConfigError("distortion needs --ckpt or --family")
         family = load_family(args.family)
-        from .data import pairwise_hamming
-
         base = pairwise_hamming(family.encoded).astype(float)
         emb = bourgain_embedding(base, seed=args.seed)
         report = distortion(emb, family, metric="hamming")

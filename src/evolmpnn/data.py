@@ -1,9 +1,10 @@
 """Homologous protein families: ingestion, splits, K-NN graphs, synthesis.
 
 All operations are pure given their inputs and a seed, so shared Family
-values are safe to read from multiple threads. The row-block helpers that
-the package's all-pairs and inference loops share live here too, with the
-worker pool that ``map_blocks`` runs their blocks on.
+values are safe to read from multiple threads. The one row-block layer of
+the package lives here too: one byte budget, and ``map_blocks``, which
+sizes the blocks of every blocked inference and all-pairs loop and runs
+them on a worker pool with one thread per CPU the process may use.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-
-from . import worker_threads
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 AA_INDEX = {a: i for i, a in enumerate(ALPHABET)}
@@ -65,6 +65,14 @@ def check_field_types(config) -> None:
         description, accepts = _FIELD_KINDS[kind]
         if not accepts(value):
             raise ValueError(f"{f.name} must be {description}, got {value!r}")
+
+
+def check_known_keys(cls, doc: dict, what: str) -> None:
+    """Reject keys of ``doc`` that are not fields of the dataclass ``cls``,
+    as ``unknown <what>: [sorted keys]``."""
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -386,10 +394,12 @@ class Graph:
             raise ValueError("edges must be in lexicographic order")
 
 
-# Bytes per row block of the all-pairs distance helpers (K-NN, Hamming
-# matrix, distortion) and per edge block of ``autodiff.neighbor_sum``.
-# Blocks that stay near the CPU caches ran fastest. ``map_blocks`` keeps one
-# block in flight per worker thread, so their scratch is W times this.
+# Bytes per block of every blocked loop: the all-pairs helpers (K-NN, Hamming
+# matrix, distortion) and the edge blocks of ``autodiff`` charge their
+# scratch, and inference 64 bytes per attention logit. Blocks near the CPU
+# caches ran fastest: 64 proteins at N = 32 beat larger blocks whose
+# activations no longer fit. ``map_blocks`` keeps one block in flight per
+# worker thread, so their scratch is W times this.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -398,36 +408,42 @@ def _block_rows(bytes_per_row: int) -> int:
     return max(1, _BLOCK_BYTES // bytes_per_row)
 
 
-# The one worker pool of the process, sized by EVOLMPNN_THREADS; None (run
-# serially) when the variable is unset or 1. The executor starts its threads
-# on first use.
-_threads = worker_threads() or 1
-_POOL = ThreadPoolExecutor(_threads, thread_name_prefix="evolmpnn") if _threads > 1 else None
+# The one worker pool of the process, one thread per CPU the process may use;
+# None (run serially) with one CPU. The executor starts its threads on first use.
+if hasattr(os, "sched_getaffinity"):
+    _workers = len(os.sched_getaffinity(0))
+else:
+    _workers = os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(_workers, thread_name_prefix="evolmpnn") if _workers > 1 else None
 _in_pool = threading.local()
 
 
-def _run_in_pool(fn, start):
+def _run_in_pool(fn, lo, hi):
     _in_pool.active = True
     try:
-        return fn(start)
+        return fn(lo, hi)
     finally:
         _in_pool.active = False
 
 
-def map_blocks(fn, starts) -> list:
-    """``[fn(s) for s in starts]``, in order, spread over the worker pool.
+def map_blocks(fn, n_rows: int, bytes_per_row: int) -> list:
+    """``[fn(lo, hi), ...]`` over the blocks [lo, hi) of ``n_rows`` rows, in
+    order, spread over the worker pool.
 
-    Every ``fn(s)`` must depend only on its own block and write nothing
+    Each block has ``_block_rows(bytes_per_row)`` rows but the last, and
+    there is always at least one: with no rows it is ``fn(0, 0)``. Every
+    ``fn(lo, hi)`` must depend only on its own block and write nothing
     another block reads, so the results do not depend on the worker count.
     Without a pool, for a single block, or when called from a pool thread
     (so nested use cannot deadlock) the calls run serially in this thread.
     The exception of the first failing block, in order, reaches the caller
     unchanged, and blocks not yet started are cancelled.
     """
-    starts = list(starts)
-    if _POOL is None or len(starts) < 2 or getattr(_in_pool, "active", False):
-        return [fn(s) for s in starts]
-    futures = [_POOL.submit(_run_in_pool, fn, s) for s in starts]
+    step = _block_rows(bytes_per_row)
+    bounds = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)] or [(0, 0)]
+    if _POOL is None or len(bounds) < 2 or getattr(_in_pool, "active", False):
+        return [fn(lo, hi) for lo, hi in bounds]
+    futures = [_POOL.submit(_run_in_pool, fn, lo, hi) for lo, hi in bounds]
     try:
         return [f.result() for f in futures]
     finally:
@@ -444,14 +460,12 @@ def pairwise_hamming(encoded: np.ndarray) -> np.ndarray:
     """Dense M x M Hamming distance matrix over encoded sequences."""
     m, n = encoded.shape
     out = np.zeros((m, m), dtype=np.int32)
+
+    def fill(lo, hi):
+        out[lo:hi] = _hamming_rows(encoded, lo, hi)
+
     # Per row: an M x N bool comparison and an M-long int64 row of counts.
-    block = _block_rows(m * (n + 8))
-
-    def fill(start):
-        stop = min(start + block, m)
-        out[start:stop] = _hamming_rows(encoded, start, stop)
-
-    map_blocks(fill, range(0, m, block))
+    map_blocks(fill, m, m * (n + 8))
     return out
 
 
@@ -467,20 +481,18 @@ def knn_graph(family: Family, k: int) -> Graph:
         raise ValueError(f"K must be >= 1, got {k}")
     if k >= m:
         raise ValueError(f"K={k} must be smaller than the family size M={m}")
-    # Per row: an M x N bool comparison and three M-long int64 rows
-    # (distances, keys, partition).
-    block = _block_rows(m * (family.n + 24))
     index = np.arange(m)
     nearest = np.empty((m, k), dtype=np.int64)
 
-    def fill(start):
-        stop = min(start + block, m)
+    def fill(lo, hi):
         # One key per candidate orders by distance, then by record index.
-        key = _hamming_rows(family.encoded, start, stop) * m + index
-        key[index[: stop - start], index[start:stop]] = np.iinfo(np.int64).max  # not self
-        nearest[start:stop] = np.argpartition(key, k - 1, axis=1)[:, :k]
+        key = _hamming_rows(family.encoded, lo, hi) * m + index
+        key[index[: hi - lo], index[lo:hi]] = np.iinfo(np.int64).max  # not self
+        nearest[lo:hi] = np.argpartition(key, k - 1, axis=1)[:, :k]
 
-    map_blocks(fill, range(0, m, block))
+    # Per row: an M x N bool comparison and three M-long int64 rows
+    # (distances, keys, partition).
+    map_blocks(fill, m, m * (family.n + 24))
     rows, cols = np.repeat(index, k), nearest.reshape(-1)
     pairs = np.stack([np.concatenate([rows, cols]), np.concatenate([cols, rows])], axis=1)
     return Graph(n_nodes=m, edges=np.unique(pairs, axis=0))
@@ -546,9 +558,7 @@ class LandscapeSpec:
         """Build from a JSON object; values are type-checked, never coerced."""
         if not isinstance(doc, dict):
             raise ValueError("landscape spec must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown landscape keys: {sorted(unknown)}")
+        check_known_keys(cls, doc, "landscape keys")
         for name in ("n", "m", "max_mutations", "additive"):
             if name not in doc:
                 raise ValueError(f"landscape spec has no {name!r}")

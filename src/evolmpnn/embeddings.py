@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from .data import ALPHABET, Family
+from .data import ALPHABET, Family, _is_int
 
 SIDECAR_MAGIC = b"EVSC"
 PHI_POS_INIT_MEAN = 1.0
@@ -89,7 +89,8 @@ def init_protein_embeddings(
 # Binary layout: 16-byte header (magic "EVSC", u32 count, u32 dim, u32
 # reserved), then per record a u16 id length, the UTF-8 id, and the float32
 # little-endian payload (dim floats for protein files, n*dim for residue
-# files). A JSON variant with base64 payloads is accepted interchangeably.
+# files). A JSON variant with base64 payloads (fields checked in
+# ``_read_sidecar_json``) is accepted interchangeably. Every id appears once.
 
 _HEADER = struct.Struct("<4sIII")
 _IDLEN = struct.Struct("<H")
@@ -147,6 +148,8 @@ def _read_sidecar_binary(path, values_per_record: int) -> tuple[dict[str, np.nda
         offset += _IDLEN.size
         rid = raw[offset : offset + id_len].decode("utf-8")
         offset += id_len
+        if rid in table:
+            raise SidecarError(f"{path}: repeated id {rid!r}")
         if offset + payload_bytes > len(raw):
             raise SidecarError(f"{path}: truncated payload for id {rid!r}")
         row = np.frombuffer(raw, dtype="<f4", count=values_per_record * dim, offset=offset)
@@ -163,18 +166,35 @@ def _read_sidecar_binary(path, values_per_record: int) -> tuple[dict[str, np.nda
 def _read_sidecar_json(path, values_per_record: int) -> tuple[dict[str, np.ndarray], int]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SidecarError(f"{path}: a JSON sidecar must be an object")
     if doc.get("magic") != "EVSC":
         raise SidecarError(f"{path}: bad magic in JSON sidecar")
-    dim = int(doc["dim"])
+    dim, records, count = (doc.get(key) for key in ("dim", "records", "count"))
+    if not _is_int(dim) or dim < 1:
+        raise SidecarError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
+    if not isinstance(records, list):
+        raise SidecarError(f"{path}: 'records' must be a list, got {type(records).__name__}")
+    if not _is_int(count) or count != len(records):
+        raise SidecarError(f"{path}: 'count' is {count!r}, but there are {len(records)} records")
     table: dict[str, np.ndarray] = {}
-    for idx, rec in enumerate(doc["records"]):
-        rid = rec["id"]
-        row = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f4")
-        if row.size != values_per_record * dim:
+    for idx, rec in enumerate(records):
+        if not isinstance(rec, dict) or not all(
+            isinstance(rec.get(key), str) for key in ("id", "data")
+        ):
             raise SidecarError(
-                f"{path}: record {rid!r} has {row.size} values, "
+                f"{path}: record {idx} must be an object with string 'id' and 'data'"
+            )
+        rid = rec["id"]
+        if rid in table:
+            raise SidecarError(f"{path}: repeated id {rid!r} in record {idx}")
+        payload = base64.b64decode(rec["data"])
+        if len(payload) != 4 * values_per_record * dim:
+            raise SidecarError(
+                f"{path}: record {rid!r} has {len(payload) / 4:g} values, "
                 f"expected {values_per_record * dim}"
             )
+        row = np.frombuffer(payload, dtype="<f4")
         bad = np.flatnonzero(~np.isfinite(row))
         if bad.size:
             raise SidecarError(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ALPHABET, Family, Graph, SplitAssignment, _block_rows, _hamming_rows, map_blocks
+from .data import ALPHABET, Family, Graph, SplitAssignment, _hamming_rows, map_blocks
 from .evolution import anchor_count, sample_anchor_sets
 from .model import ModelConfig, ModelParams, forward
 
@@ -223,11 +223,11 @@ def distortion(
     invariant to a global rescaling of the embedding. A zero embedded
     distance for a separated pair reports alpha as infinity.
 
-    Pairs i < j are measured in blocks of rows i, one block per worker
-    thread at a time, so memory stays O(W * block * M * D) for W workers; a
-    family's Hamming distances are computed per block. Each block reports
-    its own worst ratios, and the maxima over blocks are exact, so alpha does
-    not depend on the blocks or workers.
+    Pairs i < j are measured in ``data.map_blocks`` blocks of rows i, one
+    per worker thread at a time, so memory stays O(W * block * M * D) for W
+    workers; a family's Hamming distances are computed per block. Each block
+    reports its own worst ratios, and the maxima over blocks are exact, so
+    alpha does not depend on the blocks or workers.
     """
     emb = np.atleast_2d(np.asarray(embedded, dtype=np.float64))
     if not np.all(np.isfinite(emb)):
@@ -242,12 +242,9 @@ def distortion(
         raise ValueError("distortion needs a family or a base matrix")
     if emb.shape[0] != m:
         raise ValueError("embedding rows must match the metric space size")
-    # Per row: an M x D float64 difference block and a few M-long rows.
-    block = _block_rows(m * 8 * (emb.shape[1] + 8))
 
-    def measure(lo):
+    def measure(lo, hi):
         """(worst expansion, worst contraction, pairs, collapsed) of one block."""
-        hi = min(lo + block, m)
         # Row r of the block is record lo + r; column c is record lo + c.
         diffs = emb[lo:hi, None, :] - emb[None, lo:, :]
         emb_dist = np.sqrt(np.square(diffs, out=diffs).sum(axis=2))
@@ -263,7 +260,9 @@ def distortion(
             return 0.0, 0.0, f_base.size, collapsed
         return float(np.max(f_emb / f_base)), float(np.max(f_base / f_emb)), f_base.size, False
 
-    expansion, contraction, pairs, collapsed = zip(*map_blocks(measure, range(0, m, block)))
+    # Per row: an M x D float64 difference block and a few M-long rows.
+    blocks = map_blocks(measure, m, m * 8 * (emb.shape[1] + 8))
+    expansion, contraction, pairs, collapsed = zip(*blocks)
     n_pairs = sum(pairs)
     if n_pairs == 0:
         raise ValueError("no separated pairs to measure")

@@ -20,8 +20,9 @@ is asked about, so a training step's last layer is O(B * M).
 
 Only training steps build the autodiff graph. Inference and validation run
 with constant leaves, so no op keeps its inputs or a backward closure, and
-they encode proteins and attend from query rows in independent blocks,
-spread over ``data.map_blocks``'s W worker threads: their memory is
+they encode proteins (65,536 // N^2 per block) and attend from query rows
+(65,536 // M per block) in independent blocks, spread over the W worker
+threads of ``data.map_blocks``, one per usable CPU: their memory is
 O(W * block * N^2 + W * block * M + M * d), and their outputs do not depend
 on W.
 """
@@ -34,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .data import ALPHABET, Family, Graph, _is_int, check_field_types, map_blocks
+from .data import ALPHABET, Family, Graph, _is_int, check_field_types, check_known_keys, map_blocks
 from .embeddings import (
     apply_positional,
     init_positional_table,
@@ -42,7 +43,7 @@ from .embeddings import (
     onehot_residues,
 )
 from .evolution import evolgnn_layer, evolformer_layer, evolmpnn_layer, sample_anchor_sets
-from .residue_encoder import NumericsError, attention_layer, block_rows
+from .residue_encoder import NumericsError, attention_layer
 
 VARIANTS = ("evolmpnn", "evolgnn", "evolformer")
 DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -103,10 +104,7 @@ class ModelConfig:
         an unknown key."""
         if _is_int(doc.get("theta")) and doc["theta"] == 1:
             doc = {k: v for k, v in doc.items() if k != "theta"}
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
+        check_known_keys(cls, doc, "model config keys")
         return cls(**doc)
 
 
@@ -285,9 +283,9 @@ def build_forward(
     Training passes ``grad=True``: the leaves require gradients and every op
     records its backward closure. Inference and validation pass
     ``grad=False``: the leaves are constants, so no graph is kept, and the
-    per-protein encoding and evolformer's query rows run in blocks on W
-    worker threads. Its memory is then O(W * block * N^2 + W * block * M +
-    M * d).
+    per-protein encoding and evolformer's query rows run in
+    ``data.map_blocks`` blocks on W worker threads, one per usable CPU. Its
+    memory is then O(W * block * N^2 + W * block * M + M * d).
 
     ``rows`` are family row indices, in any order and possibly repeated;
     each must be an integer in [0, M). ``train_ids``, the anchor pool
@@ -333,18 +331,17 @@ def build_forward(
         active = np.arange(family.m)
     # Each protein is encoded alone. Inference encodes row blocks, which
     # bounds the residue stack's memory and lets the blocks run on the worker
-    # pool; training keeps one block, because summing weight gradients over
-    # blocks would reorder their float sums.
-    step = len(active) if grad else block_rows(family.n**2)
-    blocks = map_blocks(
-        lambda lo: _encode_rows(family, active[lo : lo + step], leaves, config),
-        range(0, len(active), step),
-    )
-    if len(blocks) == 1:
-        r_bar, h = blocks[0]
+    # pool; training encodes in one call, because summing weight gradients
+    # over blocks would reorder their float sums.
+    if grad:
+        r_bar, h = _encode_rows(family, active, leaves, config)
     else:
-        r_bar = ad.constant(np.concatenate([block[0].data for block in blocks]))
-        h = ad.constant(np.concatenate([block[1].data for block in blocks]))
+        blocks = map_blocks(
+            lambda lo, hi: [t.data for t in _encode_rows(family, active[lo:hi], leaves, config)],
+            len(active),
+            64 * family.n**2,
+        )
+        r_bar, h = (ad.constant(np.concatenate(parts)) for parts in zip(*blocks))
 
     # ``active`` is sorted, so a requested row's position is its insertion point.
     keep = np.searchsorted(active, requested)

@@ -6,7 +6,9 @@ a residual, applies an ELU feed-forward block, and finishes with one
 LayerNorm over the whole layer. The same layer implementation serves the
 protein-level attention variant, which asks for a subset of query rows and
 passes a bilinear logit bias as its two factors, so neither an M x M bias
-nor, without gradients, an M x M attention matrix is ever formed.
+nor, without gradients, an M x M attention matrix is ever formed: without
+gradients the query rows run in ``data.map_blocks`` blocks, charged 64
+bytes per attention logit.
 """
 
 from __future__ import annotations
@@ -19,19 +21,6 @@ from . import autodiff as ad
 from .data import map_blocks
 
 LAYERNORM_EPS = 1e-8
-
-# Inference works in blocks of about this many bytes of float64 attention
-# logits per head: 64 proteins at N = 32 in the residue stack, which ran
-# faster than larger blocks whose activations no longer stay in cache, and
-# 64 query rows at M = 1,024 in the protein-level layer. Each worker thread
-# of ``data.map_blocks`` holds one block.
-_ENCODE_BLOCK_BYTES = 512 << 10
-
-
-def block_rows(logits_per_row: int) -> int:
-    """Rows per inference block when each row has ``logits_per_row`` logits."""
-    return max(1, _ENCODE_BLOCK_BYTES // (8 * logits_per_row))
-
 
 class NumericsError(FloatingPointError):
     """Raised when a forward pass produces non-finite activations."""
@@ -58,7 +47,8 @@ def attention_layer(
     Each head's keys and values are computed once over all M rows; queries,
     logits, softmax, residual, feed-forward and LayerNorm run only for the
     query rows. When no input requires a gradient, a 2-D ``x`` is processed
-    in blocks of query rows on the worker pool, so memory is
+    in ``data.map_blocks`` blocks of 65,536 // M query rows on the worker
+    pool, whose outputs are joined into a constant, so memory is
     O(W * block * M + M * d) for W workers.
     """
     d = x.shape[-1]
@@ -105,11 +95,5 @@ def attention_layer(
     if len(x.shape) > 2 or any(t.requires_grad for t in inputs):
         return attend(index)
     index = np.arange(x.shape[0]) if index is None else index
-    step = block_rows(x.shape[0])
-    # An empty query set still runs one empty block, giving a (0, d) output.
-    blocks = map_blocks(
-        lambda lo: attend(index[lo : lo + step]), range(0, len(index), step) or [0]
-    )
-    if len(blocks) == 1:
-        return blocks[0]
-    return ad.constant(np.concatenate([block.data for block in blocks]))
+    blocks = map_blocks(lambda lo, hi: attend(index[lo:hi]).data, len(index), 64 * x.shape[0])
+    return ad.constant(np.concatenate(blocks))

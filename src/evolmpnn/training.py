@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Family, Graph, SplitAssignment, check_field_types
+from .data import Family, Graph, SplitAssignment, check_field_types, check_known_keys
 from .evaluation import spearman_or_none
 from .model import ModelConfig, ModelParams, build_forward, init_params, mse_loss
 from .residue_encoder import NumericsError
@@ -57,10 +57,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
+        check_known_keys(cls, doc, "train config keys")
         return cls(**doc)
 
 

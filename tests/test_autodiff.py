@@ -119,6 +119,20 @@ class TestReductionsAndShape:
         idx = np.array([[0, 1], [1, 1]])
         check_op(lambda t: ad.take_rows(t[0], idx), 1, [(2, 5)])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_take_rows_grad_is_bitwise_np_add_at(self, dtype):
+        # An embedding lookup: 2-D uint8 indices into a 20-row table, with
+        # repeats, and -0.0 among the incoming gradients.
+        rng = np.random.default_rng(14)
+        index = rng.integers(0, 20, size=(30, 13), dtype=np.uint8)
+        table = ad.Tensor(rng.standard_normal((20, 32)).astype(dtype), requires_grad=True)
+        g = rng.standard_normal((30, 13, 32)).astype(dtype)
+        g[::3, ::2] = -0.0
+        ad.sum_over(ad.mul(ad.take_rows(table, index), ad.constant(g))).backward()
+        expected = np.zeros((20, 32), dtype=dtype)
+        np.add.at(expected, index, g)
+        assert table.grad.dtype == dtype and table.grad.tobytes() == expected.tobytes()
+
 
 class TestNeighborSum:
     def test_grad_on_asymmetric_edges(self):

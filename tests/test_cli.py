@@ -698,3 +698,22 @@ class TestTrainEvalPipeline:
         assert np.isfinite(metrics["spearman"]) and np.isfinite(metrics["mse"])
         assert dispatch(["distortion", "--ckpt", str(ckpt)]) == 0
         assert json.loads(capsys.readouterr().out)["pairs"] > 0
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([], "a JSON sidecar must be an object"),
+            ({"magic": "EVSC", "count": 0, "records": []}, "'dim' must be a positive integer"),
+            ({"magic": "EVSC", "count": 1, "dim": 8, "records": [5]}, "record 0 must be an object"),
+        ],
+    )
+    def test_malformed_json_sidecar_is_a_train_error(self, tmp_path, capsys, doc, message):
+        family_path, split_path = make_dataset(tmp_path)
+        cfg = run_config_json(tmp_path, family_path, split_path, protein_mode="sidecar")
+        run = json.loads(cfg.read_text())
+        run["data"]["protein_sidecar"] = "protein.json"
+        cfg.write_text(json.dumps(run))
+        (tmp_path / "protein.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert dispatch(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert message in json.loads(capsys.readouterr().err)["error"]

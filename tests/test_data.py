@@ -322,6 +322,7 @@ class TestKnnGraph:
         rng.shuffle(shuffled)
         assert id_edges(records) == id_edges(shuffled)
 
+    @pytest.mark.usefixtures("fixed_workers")
     def test_paper_scale_family_in_bounded_memory(self):
         # Dense int32 and float64 M x M distance matrices would hold 805 MB here.
         rng = np.random.default_rng(4)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,19 @@ def make_family(seqs):
             for i, s in enumerate(seqs)
         ]
     )
+
+
+def record(rid):
+    """A JSON sidecar record holding the float32 values (1, 1)."""
+    return {"id": rid, "data": base64.b64encode(np.ones(2, dtype="<f4").tobytes()).decode()}
+
+
+def sidecar_doc(**changes):
+    """A JSON sidecar of records p0 and p1 with d = 2, with ``changes``
+    applied; a key changed to None is left out."""
+    doc = {"magic": "EVSC", "count": 2, "dim": 2, "records": [record("p0"), record("p1")]}
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not None}
 
 
 class TestOnehotResidues:
@@ -202,4 +218,40 @@ class TestSidecarIO:
         write_sidecar(path, fam.ids, np.ones((2, 2), dtype=np.float32))
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(SidecarError, match="truncated payload"):
+            load_protein_sidecar(path, fam, expected_dim=2)
+
+    @pytest.mark.parametrize("fmt", ["binary", "json"])
+    def test_repeated_id_rejected(self, tmp_path, fmt):
+        fam = make_family(["AC", "CA"])
+        path = tmp_path / f"prot.{fmt}"
+        write_sidecar(path, ["p0", "p1", "p0"], np.ones((3, 2), dtype=np.float32), fmt=fmt)
+        with pytest.raises(SidecarError, match="repeated id 'p0'"):
+            load_protein_sidecar(path, fam, expected_dim=2)
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([], "a JSON sidecar must be an object"),
+            (sidecar_doc(dim=None), "'dim' must be a positive integer, got None"),
+            (sidecar_doc(dim=0), "'dim' must be a positive integer, got 0"),
+            (sidecar_doc(dim="2"), "'dim' must be a positive integer, got '2'"),
+            (sidecar_doc(dim=True), "'dim' must be a positive integer, got True"),
+            (sidecar_doc(records={}), "'records' must be a list, got dict"),
+            (sidecar_doc(records=None), "'records' must be a list, got NoneType"),
+            (sidecar_doc(count=3), "'count' is 3, but there are 2 records"),
+            (sidecar_doc(count=None), "'count' is None, but there are 2 records"),
+            (sidecar_doc(records=[5, record("p1")]), "record 0 must be an object with string"),
+            (sidecar_doc(records=[record("p0"), {"id": "p1"}]), "record 1 must be an object"),
+            (sidecar_doc(records=[record("p0"), record(1)]), "record 1 must be an object"),
+            (sidecar_doc(records=[record("p0"), record("p0")]), "repeated id 'p0' in record 1"),
+            (sidecar_doc(records=[record("p0"), {"id": "p1", "data": "AAA="}]), "0.5 values"),
+        ],
+    )
+    def test_malformed_json_document_names_the_field(self, tmp_path, doc, message):
+        fam = make_family(["AC", "CA"])
+        path = tmp_path / "prot.json"
+        path.write_text(json.dumps(sidecar_doc()))
+        assert load_protein_sidecar(path, fam, expected_dim=2).shape == (2, 2)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SidecarError, match=message):
             load_protein_sidecar(path, fam, expected_dim=2)

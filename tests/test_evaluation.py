@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evolmpnn import evaluation
+from evolmpnn import data
 from evolmpnn.data import (
     ALPHABET,
     Family,
@@ -193,7 +193,7 @@ class TestDistortion:
 
     def test_matches_bruteforce_in_row_blocks(self, monkeypatch):
         # Blocks of 3 rows, fewer than every space has; 3 divides only m = 6.
-        monkeypatch.setattr(evaluation, "_block_rows", lambda bytes_per_row: 3)
+        monkeypatch.setattr(data, "_block_rows", lambda bytes_per_row: 3)
         self.test_matches_bruteforce_pair_ratios()
 
     def test_collapsed_pair_reports_infinity(self):
@@ -221,7 +221,7 @@ class TestDistortion:
         base = pairwise_hamming(fam.encoded)
         emb = np.random.default_rng(3).normal(size=(fam.m, 5))
         whole = distortion(emb, base_matrix=base)
-        monkeypatch.setattr(evaluation, "_block_rows", lambda bytes_per_row: 7)
+        monkeypatch.setattr(data, "_block_rows", lambda bytes_per_row: 7)
         for report in (distortion(emb, fam), distortion(emb, base_matrix=base)):
             assert report.alpha == whole.alpha
             assert report.pairs == whole.pairs
@@ -240,6 +240,7 @@ class TestDistortion:
         with pytest.raises(ValueError, match=message):
             distortion(np.array(emb), base_matrix=np.array(base, dtype=float))
 
+    @pytest.mark.usefixtures("fixed_workers")
     def test_paper_scale_family_in_bounded_memory(self):
         # A whole M x M x 64 float64 difference tensor alone is 2.1 GB here.
         fam = paper_scale_family(2048)
@@ -251,6 +252,7 @@ class TestDistortion:
 
 
 class TestPredict:
+    @pytest.mark.usefixtures("fixed_workers")
     def test_paper_scale_family_in_bounded_memory(self):
         # Run through the training graph, this prediction peaks at about 1.9 GB.
         fam = paper_scale_family(8192)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from evolmpnn import autodiff as ad
-from evolmpnn import residue_encoder
+from evolmpnn import data
 from evolmpnn.data import Graph
 from evolmpnn.evolution import (
     AnchorSet,
@@ -560,7 +560,7 @@ class TestEvolFormerLayer:
     def test_query_rows_match_rows_of_full_output(self, monkeypatch, dtype, grad):
         # Without gradients the layer works in query blocks; 2 rows per block
         # divides neither the 7 rows of h nor the 5 requested rows.
-        monkeypatch.setattr(residue_encoder, "_ENCODE_BLOCK_BYTES", 2 * 8 * 7)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * 64 * 7)
         rng = np.random.default_rng(8)
         params = {
             name: ad.Tensor(t.data.astype(dtype), requires_grad=grad)

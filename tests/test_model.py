@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from evolmpnn import autodiff as ad
+from evolmpnn import data
 from evolmpnn import model as model_module
-from evolmpnn import residue_encoder
 from evolmpnn.data import (
     Family,
     LandscapeSpec,
@@ -350,6 +350,7 @@ class TestEvolformerQueryRows:
 
 
 class TestEvolformerMemory:
+    @pytest.mark.usefixtures("fixed_workers")
     def test_inference_forms_no_m_by_m_array(self):
         # One float64 M x M array alone would take 537 MB here.
         fam = paper_scale_family(8192, n=8)
@@ -419,8 +420,8 @@ class TestGradientFreeInference:
 
         # Blocks of 5 proteins, which divides no active row count here, and
         # of 5 evolformer query rows, which divides neither M nor the rows.
-        monkeypatch.setattr(residue_encoder, "_ENCODE_BLOCK_BYTES", 5 * 8 * fam.n**2)
-        assert residue_encoder.block_rows(fam.m) == 5 and fam.m % 5 and len(rows) % 5
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 5 * 64 * fam.n**2)
+        assert data._block_rows(64 * fam.m) == 5 and fam.m % 5 and len(rows) % 5
         encoded_rows = []
         attention = model_module.attention_layer
 

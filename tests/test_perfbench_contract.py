@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evolmpnn import data, evaluation, residue_encoder, training
+from evolmpnn import data, evaluation, training
 from evolmpnn.data import LandscapeSpec, split_lambda_vs_rest, synth_family
 from evolmpnn.model import ModelConfig, init_params
 
@@ -104,7 +104,7 @@ def test_tracer_times_blocked_inference(monkeypatch):
     config = ModelConfig(variant="evolmpnn", d=8, heads=2, l_r=1, l_p=1)
     params = init_params(config, fam.n)
     # Several row blocks, each of which must reach the patched residue layer.
-    monkeypatch.setattr(residue_encoder, "_ENCODE_BLOCK_BYTES", 5 * 8 * fam.n**2)
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 5 * 64 * fam.n**2)
     tracer = load_tracer(monkeypatch).Tracer()
     tracer.install()
     try:

@@ -1,6 +1,6 @@
-"""The worker pool behind ``data.map_blocks``: its safety rules, the
-``EVOLMPNN_THREADS`` setting, and outputs that do not depend on the number
-of workers."""
+"""The row-block layer behind ``data.map_blocks``: its blocks, its safety
+rules, the size of its worker pool, and outputs that do not depend on the
+number of workers."""
 
 from __future__ import annotations
 
@@ -9,14 +9,13 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import evolmpnn
-from evolmpnn import data, model, residue_encoder
+from evolmpnn import autodiff as ad
+from evolmpnn import data, model
 from evolmpnn.data import knn_graph, pairwise_hamming
 from evolmpnn.evaluation import distortion, evaluate
 from evolmpnn.model import ModelConfig, forward, init_params
@@ -28,6 +27,7 @@ from test_training import small_problem
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def within(seconds, fn):
@@ -49,29 +49,27 @@ def within(seconds, fn):
 
 
 @pytest.fixture
-def two_workers(monkeypatch):
-    """A two-thread pool in place of the module pool; yields the list of
-    blocks submitted to it."""
-    pool = ThreadPoolExecutor(2)
+def two_workers(monkeypatch, fixed_workers):
+    """The two-thread ``fixed_workers`` pool, whose blocks are counted; gives
+    the list of blocks submitted to it."""
+    assert fixed_workers._max_workers == 2
     submitted = []
-    submit = pool.submit
+    submit = fixed_workers.submit
 
     def counting_submit(fn, *args):
         submitted.append(args)
         return submit(fn, *args)
 
-    monkeypatch.setattr(pool, "submit", counting_submit)
-    monkeypatch.setattr(data, "_POOL", pool)
-    yield submitted
-    # Cancelling queued blocks frees a worker that waits on one of them.
-    pool.shutdown(wait=False, cancel_futures=True)
+    monkeypatch.setattr(fixed_workers, "submit", counting_submit)
+    return submitted
 
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Blocks of a few rows, so every blocked loop below has several."""
-    monkeypatch.setattr(residue_encoder, "_ENCODE_BLOCK_BYTES", 5 * 8 * 8**2)
-    monkeypatch.setattr(data, "_BLOCK_BYTES", 4096)
+    """Blocks of a few rows, so every blocked loop below has several: 5
+    proteins at N = 8, 6 query rows at M = 48, and 3 to 21 rows of the
+    all-pairs loops."""
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 5 * 64 * 8**2)
 
 
 def serial_and_pooled(monkeypatch, submitted, fn):
@@ -87,25 +85,31 @@ def serial_and_pooled(monkeypatch, submitted, fn):
 
 
 class TestMapBlocks:
-    def test_results_keep_the_order_of_starts(self, two_workers):
-        starts = list(range(0, 40, 3))
-        assert data.map_blocks(lambda s: s * s, starts) == [s * s for s in starts]
-        assert len(two_workers) == len(starts)
+    def test_blocks_cover_the_rows_in_order(self, two_workers):
+        blocks = data.map_blocks(lambda lo, hi: (lo, hi), 40, data._BLOCK_BYTES // 3)
+        assert blocks == [(lo, min(lo + 3, 40)) for lo in range(0, 40, 3)]
+        assert len(two_workers) == len(blocks) == 14
+
+    def test_no_rows_run_one_empty_block(self, two_workers):
+        assert data.map_blocks(lambda lo, hi: (lo, hi), 0, 1) == [(0, 0)]
+        assert two_workers == []
 
     def test_single_block_runs_in_the_calling_thread(self, two_workers):
-        names = data.map_blocks(lambda s: threading.current_thread().name, [0])
+        names = data.map_blocks(lambda lo, hi: threading.current_thread().name, 5, 1)
         assert names == [threading.current_thread().name]
         assert two_workers == []
 
     def test_nested_call_runs_serially_in_the_worker(self, two_workers):
         # Two outer blocks hold both workers; a nested map that queued its
         # blocks behind them would wait forever.
-        def outer(start):
+        one_row = data._BLOCK_BYTES
+
+        def outer(start, _):
             return data.map_blocks(
-                lambda inner: (start, inner, threading.current_thread().name), range(3)
+                lambda inner, _: (start, inner, threading.current_thread().name), 3, one_row
             )
 
-        result = within(10, lambda: data.map_blocks(outer, range(2)))
+        result = within(10, lambda: data.map_blocks(outer, 2, one_row))
         assert [[(s, i) for s, i, _ in block] for block in result] == [
             [(s, i) for i in range(3)] for s in range(2)
         ]
@@ -117,12 +121,12 @@ class TestMapBlocks:
     def test_block_exception_reaches_the_caller_unchanged(self, two_workers):
         raised = NumericsError("non-finite output in block 2")
 
-        def fn(start):
-            if start == 2:
+        def fn(lo, hi):
+            if lo == 2:
                 raise raised
-            return start
+            return lo
 
-        assert within(10, lambda: data.map_blocks(fn, range(5))) is raised
+        assert within(10, lambda: data.map_blocks(fn, 5, data._BLOCK_BYTES)) is raised
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_validation_divergence_in_a_worker_is_a_training_error(
@@ -147,58 +151,72 @@ class TestMapBlocks:
         assert failed_in and all(n.startswith("ThreadPoolExecutor") for n in failed_in)
 
 
-class TestThreadSetting:
-    @pytest.mark.parametrize("raw,expected", [("", None), ("1", 1), ("3", 3)])
-    def test_positive_integer_or_unset(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("EVOLMPNN_THREADS", raw)
-        assert evolmpnn.worker_threads() == expected
+class TestBlockSizes:
+    def test_inference_blocks_keep_their_sizes(self, monkeypatch):
+        # 65,536 // N^2 proteins per encode block and 65,536 // M evolformer
+        # query rows per block: 256 and 44 of 300 proteins at N = 16, and
+        # 218 and 82 of the 300 query rows.
+        fam = paper_scale_family(300, n=16, seed=5)
+        config = ModelConfig(variant="evolformer", d=4, heads=1, l_r=1, l_p=1)
+        params = init_params(config, fam.n, seed=0)
+        encoded, queried = [], []
+        encode, softmax = model._encode_rows, ad.softmax_last
 
-    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", " 2", "+2", "2_0", "٣"])
-    def test_anything_else_names_the_variable(self, monkeypatch, raw):
-        monkeypatch.setenv("EVOLMPNN_THREADS", raw)
-        with pytest.raises(ValueError, match="EVOLMPNN_THREADS must be a positive integer"):
-            evolmpnn.worker_threads()
+        def counting_encode(family, active, leaves, config):
+            encoded.append(len(active))
+            return encode(family, active, leaves, config)
+
+        def counting_softmax(logits):
+            if len(logits.shape) == 2:  # evolformer's; the residue stack's are 3-D
+                queried.append(logits.shape[0])
+            return softmax(logits)
+
+        monkeypatch.setattr(model, "_encode_rows", counting_encode)
+        monkeypatch.setattr(ad, "softmax_last", counting_softmax)
+        forward(fam, params, config)
+        assert sorted(encoded, reverse=True) == [65536 // 16**2, 300 - 65536 // 16**2]
+        assert sorted(queried, reverse=True) == [65536 // 300, 300 - 65536 // 300]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+class TestPoolSize:
+    """One worker per CPU the process may use; the CLI pins BLAS to one
+    thread unless a BLAS variable is set."""
 
     @staticmethod
-    def run_python(code: str, threads: str | None) -> subprocess.CompletedProcess:
+    def probe(pin_to_one_cpu=False, **env_vars) -> dict:
+        code = "import json, os, threading\n"
+        if pin_to_one_cpu:
+            code += "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        code += (
+            "from evolmpnn import cli, data\n"
+            "import numpy as np\n"
+            "data.pairwise_hamming(np.zeros((2048, 4), dtype=np.int8))\n"
+            "print(json.dumps({'blas': [os.environ.get(v) for v in %r],\n"
+            "    'cpus': len(os.sched_getaffinity(0)),\n"
+            "    'pool': None if data._POOL is None else data._POOL._max_workers,\n"
+            "    'threads': threading.active_count()}))\n" % (BLAS_VARS,)
+        )
         env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-        env.pop("EVOLMPNN_THREADS", None)
-        if threads is not None:
-            env["EVOLMPNN_THREADS"] = threads
-        env["PYTHONPATH"] = str(SRC)
-        return subprocess.run(
+        env.update(env_vars, PYTHONPATH=str(SRC))
+        done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
-
-    PROBE = (
-        "import json, os, threading\n"
-        "from evolmpnn import cli, data\n"
-        "import numpy as np\n"
-        "data.pairwise_hamming(np.zeros((2048, 4), dtype=np.int8))\n"
-        "print(json.dumps({'blas': [os.environ.get(v) for v in %r],\n"
-        "    'pool': None if data._POOL is None else data._POOL._max_workers,\n"
-        "    'threads': threading.active_count()}))\n" % (BLAS_VARS,)
-    )
-
-    def test_unset_starts_no_thread_and_leaves_blas_alone(self):
-        done = self.run_python(self.PROBE, None)
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == {"blas": [None] * 3, "pool": None, "threads": 1}
+        return json.loads(done.stdout)
 
-    def test_set_sizes_the_pool_and_pins_blas_to_one_thread(self):
-        done = self.run_python(self.PROBE, "2")
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == {"blas": ["1"] * 3, "pool": 2, "threads": 3}
+    def test_one_cpu_makes_no_pool_and_starts_no_thread(self):
+        doc = self.probe(pin_to_one_cpu=True)
+        assert doc == {"blas": ["1"] * 3, "cpus": 1, "pool": None, "threads": 1}
 
-    def test_one_thread_runs_serially(self):
-        done = self.run_python(self.PROBE, "1")
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == {"blas": ["1"] * 3, "pool": None, "threads": 1}
+    @pytest.mark.skipif(CPUS < 2, reason="needs two usable CPUs")
+    def test_pool_has_one_worker_per_usable_cpu(self):
+        doc = self.probe()
+        assert doc["cpus"] == CPUS and doc["pool"] == CPUS
+        assert 1 < doc["threads"] <= 1 + doc["pool"]
 
-    def test_invalid_value_fails_the_import_naming_the_variable(self):
-        done = self.run_python("import evolmpnn.cli", "0")
-        assert done.returncode != 0
-        assert "EVOLMPNN_THREADS must be a positive integer, got '0'" in done.stderr
+    def test_an_explicit_blas_setting_wins(self):
+        assert self.probe(OMP_NUM_THREADS="3")["blas"] == ["3", "1", "1"]
 
 
 class TestWorkerCountInvariance:
