@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import _block_rows
+from .data import _block_rows, map_blocks
 
 __all__ = [
     "Tensor",
@@ -22,6 +22,7 @@ __all__ = [
     "matmul",
     "transpose_last",
     "concat_last",
+    "split_last",
     "sum_over",
     "mean_over",
     "softmax_last",
@@ -30,6 +31,7 @@ __all__ = [
     "normalize_last",
     "take_rows",
     "neighbor_sum",
+    "map_rows",
 ]
 
 
@@ -72,13 +74,22 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into each leaf's ``grad``; an interior
-        node's gradient is freed once its backward has run."""
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar output")
+    def backward(self, grad=None) -> None:
+        """Accumulate d(self)/d(leaf), seeded with ``grad`` (default 1 for a
+        scalar output), into each leaf's ``grad``; an interior node's
+        gradient is freed once its backward has run."""
+        if grad is None:
+            if self.data.size != 1:
+                raise ValueError("backward() requires a scalar output or a seed gradient")
+            grad = np.ones_like(self.data)
+        else:
+            grad = np.array(grad, dtype=self.data.dtype)
+            if grad.shape != self.data.shape:
+                raise ValueError(
+                    f"seed gradient {grad.shape} does not match output {self.data.shape}"
+                )
         order = _toposort(self)
-        self.grad = np.ones_like(self.data)
+        self.grad = grad
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -221,6 +232,25 @@ def concat_last(parts: list[Tensor]) -> Tensor:
     return _result(data, tuple(parts), backward)
 
 
+def split_last(a: Tensor, widths) -> list[Tensor]:
+    """Consecutive slices of the last axis with the given widths, as
+    contiguous arrays; the inverse of ``concat_last``."""
+    if sum(widths) != a.data.shape[-1]:
+        raise ValueError(f"widths {list(widths)} do not add up to {a.data.shape[-1]}")
+    ends = np.cumsum(widths)
+    return [_slice_last(a, int(end) - w, int(end)) for w, end in zip(widths, ends)]
+
+
+def _slice_last(a: Tensor, lo: int, hi: int) -> Tensor:
+    def backward(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[..., lo:hi] += g
+
+    return _result(np.ascontiguousarray(a.data[..., lo:hi]), (a,), backward)
+
+
 def sum_over(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -356,3 +386,49 @@ def neighbor_sum(a: Tensor, dst, src, n_out: int | None = None, weight=None) -> 
             a._accumulate(full)
 
     return _result(data, (a,), backward)
+
+
+def map_rows(fn, n_rows: int, bytes_per_row: int, leaves: dict[str, Tensor]) -> Tensor:
+    """Row blocks of a per-row computation, run on the ``data.map_blocks``
+    worker pool and joined into one differentiable tensor.
+
+    ``fn(lo, hi, block_leaves)`` computes output rows [lo, hi) from
+    ``block_leaves``, which holds a handle over the same array for each of
+    ``leaves``; it must use no other tensor that requires a gradient. Each
+    block gets its own handles, so no two blocks write one ``grad``. The
+    output is the block outputs concatenated along axis 0.
+
+    When no leaf requires a gradient the result is a constant and nothing is
+    kept. Otherwise each block's graph is kept until backward, which maps
+    the same blocks again: each block seeds its output with its rows of the
+    incoming gradient, runs its own backward and then drops its graph, and
+    the blocks' leaf gradients are added into ``leaves`` in block order.
+    The sum therefore does not depend on the worker count, but it differs in
+    the last bits from one backward over all rows. The graphs of all blocks
+    are alive together between forward and backward, so a differentiable
+    call's memory is still that of one graph over every row (O(rows * N^2)
+    for the residue encoder); the blocks bound only the memory of a call
+    without gradients.
+    """
+
+    def forward_block(lo, hi):
+        own = {name: Tensor(leaf.data, leaf.requires_grad) for name, leaf in leaves.items()}
+        return lo, fn(lo, hi, own), own
+
+    blocks = map_blocks(forward_block, n_rows, bytes_per_row)
+    data = np.concatenate([out.data for _, out, _ in blocks])
+    if not any(leaf.requires_grad for leaf in leaves.values()):
+        return constant(data)
+    graphs = {lo: (out, own) for lo, out, own in blocks}
+
+    def backward(g):
+        def backward_block(lo, hi):
+            out, own = graphs.pop(lo)
+            out.backward(g[lo:hi])
+            return {name: t.grad for name, t in own.items() if t.grad is not None}
+
+        for block_grads in map_blocks(backward_block, n_rows, bytes_per_row):
+            for name, block_grad in block_grads.items():
+                leaves[name]._accumulate(block_grad)
+
+    return _result(data, tuple(leaves.values()), backward)

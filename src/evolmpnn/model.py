@@ -18,13 +18,17 @@ compute over every record.
 The all-pairs variant's last evolution layer attends only from the rows it
 is asked about, so a training step's last layer is O(B * M).
 
-Only training steps build the autodiff graph. Inference and validation run
-with constant leaves, so no op keeps its inputs or a backward closure, and
-they encode proteins (65,536 // N^2 per block) and attend from query rows
-(65,536 // M per block) in independent blocks, spread over the W worker
-threads of ``data.map_blocks``, one per usable CPU: their memory is
-O(W * block * N^2 + W * block * M + M * d), and their outputs do not depend
-on W.
+Every forward pass encodes proteins in independent blocks of 65,536 // N^2
+through ``autodiff.map_rows``, spread over the W worker threads of
+``data.map_blocks``, one per usable CPU. Only training steps build the
+autodiff graph: each encode block keeps its own graph, backward runs per
+block on the pool, and the blocks' parameter gradients are added in block
+order, so trained parameters do not depend on W. A step's memory is still
+that of the graph over every active row. Inference and validation run with
+constant leaves, so no op keeps its inputs or a backward closure, and they
+also attend from query rows (65,536 // M per block) in blocks: their memory
+is O(W * block * N^2 + W * block * M + M * d), and their outputs do not
+depend on W.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .data import ALPHABET, Family, Graph, _is_int, check_field_types, check_known_keys, map_blocks
+from .data import ALPHABET, Family, Graph, _is_int, check_field_types, check_known_keys
 from .embeddings import (
     apply_positional,
     init_positional_table,
@@ -280,12 +284,14 @@ def build_forward(
 ) -> ForwardGraph:
     """Run the full pipeline, returning tensors for the requested rows.
 
-    Training passes ``grad=True``: the leaves require gradients and every op
-    records its backward closure. Inference and validation pass
-    ``grad=False``: the leaves are constants, so no graph is kept, and the
-    per-protein encoding and evolformer's query rows run in
-    ``data.map_blocks`` blocks on W worker threads, one per usable CPU. Its
-    memory is then O(W * block * N^2 + W * block * M + M * d).
+    The per-protein encoding runs in ``autodiff.map_rows`` blocks of
+    65,536 // N^2 proteins on W worker threads, one per usable CPU.
+    Training passes ``grad=True``: the leaves require gradients, every op
+    records its backward closure, and each encode block keeps its own graph
+    until backward, which also runs per block. Inference and validation pass
+    ``grad=False``: the leaves are constants, so no graph is kept, and
+    evolformer's query rows run in blocks too. Its memory is then
+    O(W * block * N^2 + W * block * M + M * d).
 
     ``rows`` are family row indices, in any order and possibly repeated;
     each must be an integer in [0, M). ``train_ids``, the anchor pool
@@ -329,19 +335,14 @@ def build_forward(
                     f"graph has {graph.n_nodes} nodes but the family has {family.m} records"
                 )
         active = np.arange(family.m)
-    # Each protein is encoded alone. Inference encodes row blocks, which
-    # bounds the residue stack's memory and lets the blocks run on the worker
-    # pool; training encodes in one call, because summing weight gradients
-    # over blocks would reorder their float sums.
-    if grad:
-        r_bar, h = _encode_rows(family, active, leaves, config)
-    else:
-        blocks = map_blocks(
-            lambda lo, hi: [t.data for t in _encode_rows(family, active[lo:hi], leaves, config)],
-            len(active),
-            64 * family.n**2,
-        )
-        r_bar, h = (ad.constant(np.concatenate(parts)) for parts in zip(*blocks))
+    # Each protein is encoded alone, so its rows run in independent blocks.
+    encoded = ad.map_rows(
+        lambda lo, hi, own: ad.concat_last(_encode_rows(family, active[lo:hi], own, config)),
+        len(active),
+        64 * family.n**2,
+        leaves,
+    )
+    r_bar, h = ad.split_last(encoded, [config.d, config.d])
 
     # ``active`` is sorted, so a requested row's position is its insertion point.
     keep = np.searchsorted(active, requested)

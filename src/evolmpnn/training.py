@@ -2,10 +2,13 @@
 
 Training shuffles the train rows into mini-batches; for the anchor-based
 variant each batch forward also encodes the current anchor members, which
-in practice cover the whole training pool. Validation runs the forward
-pass without the autodiff graph, in row blocks, and its Spearman drives
-model selection: the returned parameters are the ones from the best
-validation epoch. Everything is reproducible from (seed, config, data).
+in practice cover the whole training pool. A step encodes and
+backpropagates its proteins in row blocks on the worker pool, and each
+step's graph is freed before the next one is built. Validation runs the
+forward pass without the autodiff graph, in row blocks, and its Spearman
+drives model selection: the returned parameters are the ones from the best
+validation epoch. Everything is reproducible from (seed, config, data),
+whatever the number of worker threads.
 """
 
 from __future__ import annotations
@@ -212,6 +215,9 @@ def train(
                     )
                 loss.backward()
                 optimiser.step(params.tensors, fg.grads())
+                # The spent graph would otherwise live through the next
+                # step's forward, doubling its peak.
+                del fg, loss
                 losses.append(loss_value)
 
             try:

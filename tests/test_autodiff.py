@@ -111,6 +111,11 @@ class TestReductionsAndShape:
     def test_concat_last(self):
         check_op(lambda t: ad.concat_last([t[0], t[1]]), 2, [(3, 2), (3, 4)])
 
+    def test_split_last_inverts_concat_last(self):
+        check_op(lambda t: ad.concat_last(ad.split_last(ad.elu(t[0]), [2, 3])[::-1]), 1, [(4, 5)])
+        with pytest.raises(ValueError, match="do not add up to 5"):
+            ad.split_last(ad.constant(np.zeros((4, 5))), [2, 2])
+
     def test_take_rows_vector_index(self):
         idx = np.array([2, 0, 2, 1])
         check_op(lambda t: ad.take_rows(t[0], idx), 1, [(3, 4)])
@@ -212,6 +217,32 @@ class TestNeighborSum:
         assert results[0] == results[1]
 
 
+class TestMapRows:
+    @staticmethod
+    def rows_times_w(t):
+        """Row blocks of elu(x @ w), 2 rows per block of 5."""
+
+        def block(lo, hi, own):
+            return ad.elu(ad.matmul(ad.take_rows(own["x"], np.arange(lo, hi)), own["w"]))
+
+        return ad.map_rows(block, 5, data._BLOCK_BYTES // 2, {"x": t[0], "w": t[1]})
+
+    def test_grad_over_row_blocks(self):
+        check_op(self.rows_times_w, 2, [(5, 3), (3, 4)])
+
+    def test_blocks_join_into_one_output(self):
+        rng = np.random.default_rng(6)
+        x, w = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
+        whole = ad.elu(ad.matmul(ad.constant(x), ad.constant(w))).data
+        out = self.rows_times_w([ad.Tensor(x, requires_grad=True), ad.constant(w)])
+        assert out.requires_grad and out.data.tobytes() == whole.tobytes()
+
+    def test_without_gradients_keeps_nothing(self):
+        rng = np.random.default_rng(7)
+        out = self.rows_times_w([ad.constant(rng.standard_normal(s)) for s in ((5, 3), (3, 4))])
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+
 class TestSoftmaxAndNorm:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -237,6 +268,15 @@ class TestGraphMechanics:
         t = ad.Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
             ad.add(t, t).backward()
+
+    def test_backward_seeded_with_a_gradient(self):
+        rng = np.random.default_rng(5)
+        t = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        seed = rng.standard_normal((3, 2))
+        ad.mul(t, t).backward(seed)
+        np.testing.assert_allclose(t.grad, 2 * t.data * seed)
+        with pytest.raises(ValueError, match="seed gradient"):
+            ad.mul(t, t).backward(np.ones(3))
 
     def test_grad_accumulates_over_reuse(self):
         t = ad.Tensor(np.array([3.0]), requires_grad=True)

@@ -491,6 +491,43 @@ class TestGradientCheck:
         )
         assert report.max_relative_error <= 1e-4, report.per_tensor
 
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
+    def test_gradients_summed_over_encode_blocks(self, monkeypatch, variant, per_block):
+        fam = tiny_family(
+            ("ACD", "ACE", "GCD", "AAD", "CCD", "ACG", "GAD"),
+            (0.0, 1.0, -1.0, 0.5, 2.0, -0.5, 0.25),
+        )
+        config = tiny_config(variant, l_p=2)
+        graph = knn_graph(fam, k=2) if variant == "evolgnn" else None
+        params = init_params(config, fam.n, seed=1)
+
+        def grads():
+            fg = build_forward(fam, params, config, graph=graph)
+            mse_loss(fg.y_hat, fam.targets).backward()
+            return fg.grads()
+
+        whole = grads()
+        monkeypatch.setattr(data, "_BLOCK_BYTES", per_block * 64 * fam.n**2)
+        encoded = []
+        encode = model_module._encode_rows
+
+        def counting(family, active, leaves, config):
+            encoded.append(len(active))
+            return encode(family, active, leaves, config)
+
+        monkeypatch.setattr(model_module, "_encode_rows", counting)
+        blocked = grads()
+        # Blocks may finish in any order on the worker pool.
+        expected = [per_block] * (7 // per_block) + [7 % per_block] * (7 % per_block > 0)
+        assert sorted(encoded, reverse=True) == expected
+        assert blocked.keys() == whole.keys()
+        for name, grad in blocked.items():
+            np.testing.assert_allclose(grad, whole[name], rtol=1e-12, atol=0, err_msg=name)
+
+        report = gradient_check(fam, config, seed=1, graph=graph, coords_per_tensor=4)
+        assert report.max_relative_error <= 1e-4, report.per_tensor
+
     def test_eps_sweep_is_u_shaped(self):
         fam = tiny_family()
         config = tiny_config()

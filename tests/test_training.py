@@ -9,7 +9,7 @@ import pytest
 
 from evolmpnn.data import LandscapeSpec, split_lambda_vs_rest, synth_family
 from evolmpnn.evaluation import evaluate, spearman
-from evolmpnn.model import ModelConfig
+from evolmpnn.model import ModelConfig, build_forward, init_params, mse_loss
 from evolmpnn.training import (
     Adam,
     TrainConfig,
@@ -17,6 +17,8 @@ from evolmpnn.training import (
     standardize_targets,
     train,
 )
+
+from test_evaluation import traced_peak
 
 
 def small_problem(seed=7, m=48, n=8, max_mut=4, lam=2):
@@ -190,6 +192,29 @@ class TestTrainLoop:
         config = small_config(dtype="float32")
         with pytest.raises(TrainingError, match="epoch"):
             train(fam, split, config, TrainConfig(lr=1e6, epochs=10, seed=0))
+
+    @pytest.mark.usefixtures("fixed_workers")
+    def test_spent_step_graphs_are_freed(self):
+        # evolformer encodes every protein in every step, so each step's graph
+        # has about the same size. While the previous step's graph stayed
+        # alive, this epoch of 6 steps peaked at 1.6 times one step.
+        fam, split = small_problem(m=200, n=16)
+        config = ModelConfig(variant="evolformer", d=8, heads=2, l_r=1, l_p=1)
+        train_rows = split.rows(fam, "train")
+        batch = sorted(train_rows[:16])
+        params = init_params(config, fam.n, seed=0)
+
+        def step():
+            fg = build_forward(fam, params, config, rows=batch, anchor_draw=1)
+            mse_loss(fg.y_hat, fam.targets[batch]).backward()
+            return fg.grads()
+
+        _, one_step = traced_peak(step)
+        (_, report), epoch = traced_peak(
+            lambda: train(fam, split, config, TrainConfig(epochs=1, batch_size=16))
+        )
+        assert len(train_rows) > 5 * 16 and np.isfinite(report.epochs[0].train_loss)
+        assert epoch < 1.25 * one_step
 
     def test_spearman_invariant_to_standardization_choice(self):
         fam, split = small_problem()

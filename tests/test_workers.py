@@ -4,6 +4,7 @@ number of workers."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,15 +19,18 @@ from evolmpnn import autodiff as ad
 from evolmpnn import data, model
 from evolmpnn.data import knn_graph, pairwise_hamming
 from evolmpnn.evaluation import distortion, evaluate
-from evolmpnn.model import ModelConfig, forward, init_params
+from evolmpnn.model import ModelConfig, build_forward, forward, init_params, mse_loss
 from evolmpnn.residue_encoder import NumericsError
 from evolmpnn.training import TrainConfig, TrainingError, train
 
 from test_evaluation import paper_scale_family
 from test_training import small_problem
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+VARIANTS = ("evolmpnn", "evolgnn", "evolformer")
+DTYPES = ("float32", "float64")
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -70,6 +74,16 @@ def small_blocks(monkeypatch):
     proteins at N = 8, 6 query rows at M = 48, and 3 to 21 rows of the
     all-pairs loops."""
     monkeypatch.setattr(data, "_BLOCK_BYTES", 5 * 64 * 8**2)
+
+
+def trained_bytes(variant: str, dtype: str) -> bytes:
+    """Parameters and report signature after one epoch of 2 steps, l_p = 2."""
+    fam, split = small_problem()
+    config = ModelConfig(variant=variant, d=8, heads=2, l_r=1, l_p=2, knn_k=3, dtype=dtype)
+    graph = knn_graph(fam, 3) if variant == "evolgnn" else None
+    params, report = train(fam, split, config, TrainConfig(epochs=1, batch_size=16), graph=graph)
+    signature = json.dumps(report.signature(), sort_keys=True).encode()
+    return b"".join(v.tobytes() for v in params.tensors.values()) + signature
 
 
 def serial_and_pooled(monkeypatch, submitted, fn):
@@ -151,6 +165,30 @@ class TestMapBlocks:
         assert failed_in and all(n.startswith("ThreadPoolExecutor") for n in failed_in)
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_training_divergence_in_a_worker_is_a_training_error(
+        self, monkeypatch, two_workers, small_blocks
+    ):
+        fam, split = small_problem()
+        encode = model._encode_rows
+        failed_in = []
+
+        def diverging_encode(family, active, leaves, config):
+            # Training blocks (leaves that require gradients) after the first
+            # one diverge.
+            if leaves["phi_pos"].requires_grad and active[0] > 0:
+                failed_in.append(threading.current_thread().name)
+                raise NumericsError("non-finite output in residue layer 0")
+            return encode(family, active, leaves, config)
+
+        monkeypatch.setattr(model, "_encode_rows", diverging_encode)
+        config = ModelConfig(d=8, heads=2, l_r=1, l_p=1)
+        err = within(60, lambda: train(fam, split, config, TrainConfig(epochs=2)))
+        assert isinstance(err, TrainingError)
+        assert str(err) == "diverged at epoch 0, batch 0: non-finite output in residue layer 0"
+        assert failed_in and all(n.startswith("ThreadPoolExecutor") for n in failed_in)
+
+
 class TestBlockSizes:
     def test_inference_blocks_keep_their_sizes(self, monkeypatch):
         # 65,536 // N^2 proteins per encode block and 65,536 // M evolformer
@@ -176,6 +214,26 @@ class TestBlockSizes:
         forward(fam, params, config)
         assert sorted(encoded, reverse=True) == [65536 // 16**2, 300 - 65536 // 16**2]
         assert sorted(queried, reverse=True) == [65536 // 300, 300 - 65536 // 300]
+
+    def test_training_encodes_in_the_inference_blocks(self, monkeypatch):
+        # A training step encodes in the same 65,536 // N^2 proteins per
+        # block, and its backward runs over the same blocks.
+        fam = paper_scale_family(300, n=16, seed=5)
+        config = ModelConfig(variant="evolformer", d=4, heads=1, l_r=1, l_p=1)
+        params = init_params(config, fam.n, seed=0)
+        encoded = []
+        encode = model._encode_rows
+
+        def counting_encode(family, active, leaves, config):
+            encoded.append(len(active))
+            return encode(family, active, leaves, config)
+
+        monkeypatch.setattr(model, "_encode_rows", counting_encode)
+        fg = build_forward(fam, params, config, rows=[0, 1])
+        mse_loss(fg.y_hat, fam.targets[:2]).backward()
+        assert sorted(encoded, reverse=True) == [65536 // 16**2, 300 - 65536 // 16**2]
+        assert all(np.all(np.isfinite(g)) for g in fg.grads().values())
+        assert "res0.ffn_w1" in fg.grads() and "phi_pos" in fg.grads()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -251,6 +309,39 @@ class TestWorkerCountInvariance:
 
         serial, pooled = serial_and_pooled(monkeypatch, two_workers, run)
         assert serial == pooled
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training(self, monkeypatch, two_workers, small_blocks, variant, dtype):
+        # Each side runs twice: thread interleaving moves heap addresses, and
+        # a numpy kernel whose rounding depended on them would show here.
+        serial, pooled = serial_and_pooled(
+            monkeypatch, two_workers, lambda: [trained_bytes(variant, dtype) for _ in range(2)]
+        )
+        assert serial[0] == serial[1] == pooled[0] == pooled[1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_training_pinned_to_one_cpu(self, two_workers, small_blocks):
+        # A process pinned to one CPU makes no pool and trains serially.
+        code = (
+            "import hashlib, json, os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "sys.path.insert(0, %r)\n"
+            "from evolmpnn import data\n"
+            "import test_workers\n"
+            "assert data._POOL is None\n"
+            "data._BLOCK_BYTES = %d\n"
+            "print(json.dumps([hashlib.sha256(test_workers.trained_bytes(v, t)).hexdigest()\n"
+            "    for v in %r for t in %r]))\n" % (str(TESTS), data._BLOCK_BYTES, VARIANTS, DTYPES)
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        pooled = [hashlib.sha256(trained_bytes(v, t)).hexdigest() for v in VARIANTS for t in DTYPES]
+        assert json.loads(done.stdout) == pooled
+        assert len(two_workers) >= 2
 
     def test_distortion(self, monkeypatch, two_workers, small_blocks):
         fam = paper_scale_family(50, n=8, seed=1)
