@@ -8,18 +8,18 @@ import pytest
 
 from evolmpnn import data
 
-# Worker threads of ``fixed_workers``. Each worker holds one block in flight,
-# so a memory bound sized for this count holds on a host with any number of
-# CPUs.
+# Workers of ``fixed_workers``: the calling thread and WORKERS - 1 pool
+# threads. Each worker holds one block in flight, so a memory bound sized for
+# this count holds on a host with any number of CPUs.
 WORKERS = 2
 
 
 @pytest.fixture
 def fixed_workers(monkeypatch):
-    """A pool of ``WORKERS`` threads in place of the one sized by the host's
-    CPUs; yields that pool."""
-    pool = ThreadPoolExecutor(WORKERS)
+    """A pool of ``WORKERS - 1`` threads in place of the one sized by the
+    host's CPUs; yields that pool."""
+    pool = ThreadPoolExecutor(WORKERS - 1)
     monkeypatch.setattr(data, "_POOL", pool)
     yield pool
-    # Cancelling queued blocks frees a worker that waits on one of them.
+    # Cancelling queued turns frees a pool thread that waits on one of them.
     pool.shutdown(wait=False, cancel_futures=True)

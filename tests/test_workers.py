@@ -54,18 +54,23 @@ def within(seconds, fn):
 
 @pytest.fixture
 def two_workers(monkeypatch, fixed_workers):
-    """The two-thread ``fixed_workers`` pool, whose blocks are counted; gives
-    the list of blocks submitted to it."""
-    assert fixed_workers._max_workers == 2
-    submitted = []
+    """The calling thread and the one thread of the ``fixed_workers`` pool,
+    on every loop of two or more blocks; gives the list of the pool thread's
+    turns that started, one per blocked loop it joined."""
+    assert fixed_workers._max_workers == 1
+    monkeypatch.setattr(data, "_MIN_BLOCKS_PER_WORKER", 1)
+    started = []
     submit = fixed_workers.submit
 
     def counting_submit(fn, *args):
-        submitted.append(args)
-        return submit(fn, *args)
+        def counted():
+            started.append(threading.current_thread().name)
+            return fn(*args)
+
+        return submit(counted)
 
     monkeypatch.setattr(fixed_workers, "submit", counting_submit)
-    return submitted
+    return started
 
 
 @pytest.fixture
@@ -87,22 +92,33 @@ def trained_bytes(variant: str, dtype: str) -> bytes:
 
 
 def serial_and_pooled(monkeypatch, submitted, fn):
-    """fn() with no pool, then on the ``two_workers`` pool, which must
-    receive blocks."""
+    """fn() with no pool, then on the ``two_workers`` pool, whose thread
+    must join the blocked loops."""
     pool = data._POOL
     monkeypatch.setattr(data, "_POOL", None)
     serial = fn()
     monkeypatch.setattr(data, "_POOL", pool)
     pooled = fn()
-    assert len(submitted) >= 2
+    assert submitted
     return serial, pooled
 
 
 class TestMapBlocks:
     def test_blocks_cover_the_rows_in_order(self, two_workers):
-        blocks = data.map_blocks(lambda lo, hi: (lo, hi), 40, data._BLOCK_BYTES // 3)
-        assert blocks == [(lo, min(lo + 3, 40)) for lo in range(0, 40, 3)]
-        assert len(two_workers) == len(blocks) == 14
+        # The first two blocks wait for each other, so both workers take one.
+        meet = threading.Barrier(2, timeout=10)
+
+        def fn(lo, hi):
+            if lo < 6:
+                meet.wait()
+            return lo, hi, threading.current_thread().name
+
+        blocks = within(10, lambda: data.map_blocks(fn, 40, data._BLOCK_BYTES // 3))
+        assert [(lo, hi) for lo, hi, _ in blocks] == [
+            (lo, min(lo + 3, 40)) for lo in range(0, 40, 3)
+        ]
+        assert len({name for _, _, name in blocks}) == 2
+        assert len(two_workers) == 1
 
     def test_no_rows_run_one_empty_block(self, two_workers):
         assert data.map_blocks(lambda lo, hi: (lo, hi), 0, 1) == [(0, 0)]
@@ -113,12 +129,33 @@ class TestMapBlocks:
         assert names == [threading.current_thread().name]
         assert two_workers == []
 
+    def test_a_worker_needs_four_blocks(self, monkeypatch, two_workers):
+        # 7 blocks run in the calling thread; of 8, the first two wait for
+        # each other, so both workers take blocks.
+        monkeypatch.setattr(data, "_MIN_BLOCKS_PER_WORKER", 4)
+        meet = threading.Barrier(2, timeout=10)
+
+        def names(n_rows):
+            def fn(lo, hi):
+                if n_rows == 8 and lo < 2:
+                    meet.wait()
+                return threading.current_thread().name
+
+            return within(10, lambda: data.map_blocks(fn, n_rows, data._BLOCK_BYTES))
+
+        seven = names(7)
+        assert len(seven) == 7 and len(set(seven)) == 1 and two_workers == []
+        eight = names(8)
+        assert len(eight) == 8 and len(set(eight)) == 2 and len(two_workers) == 1
+
     def test_nested_call_runs_serially_in_the_worker(self, two_workers):
-        # Two outer blocks hold both workers; a nested map that queued its
-        # blocks behind them would wait forever.
+        # Two outer blocks hold both workers at once, one of them the pool's
+        # only thread; a nested map that queued work for it would wait forever.
         one_row = data._BLOCK_BYTES
+        meet = threading.Barrier(2, timeout=10)
 
         def outer(start, _):
+            meet.wait()
             return data.map_blocks(
                 lambda inner, _: (start, inner, threading.current_thread().name), 3, one_row
             )
@@ -127,10 +164,10 @@ class TestMapBlocks:
         assert [[(s, i) for s, i, _ in block] for block in result] == [
             [(s, i) for i in range(3)] for s in range(2)
         ]
-        for block in result:
-            names = {name for _, _, name in block}
-            assert len(names) == 1 and names.pop().startswith("ThreadPoolExecutor")
-        assert len(two_workers) == 2
+        names = [{name for _, _, name in block} for block in result]
+        assert all(len(block) == 1 for block in names)
+        assert sum(block.pop().startswith("ThreadPoolExecutor") for block in names) == 1
+        assert len(two_workers) == 1
 
     def test_block_exception_reaches_the_caller_unchanged(self, two_workers):
         raised = NumericsError("non-finite output in block 2")
@@ -149,12 +186,17 @@ class TestMapBlocks:
         fam, split = small_problem()
         encode = model._encode_rows
         failed_in = []
+        diverged = threading.Event()
 
         def diverging_encode(family, active, leaves, config):
-            # Inference blocks (constant leaves) after the first one diverge.
-            if not leaves["phi_pos"].requires_grad and active[0] > 0:
-                failed_in.append(threading.current_thread().name)
-                raise NumericsError("non-finite output in residue layer 0")
+            # Inference blocks (constant leaves) diverge on the pool thread;
+            # the calling thread's blocks wait until one has.
+            if not leaves["phi_pos"].requires_grad:
+                if threading.current_thread().name.startswith("ThreadPoolExecutor"):
+                    failed_in.append(threading.current_thread().name)
+                    diverged.set()
+                    raise NumericsError("non-finite output in residue layer 0")
+                diverged.wait(10)
             return encode(family, active, leaves, config)
 
         monkeypatch.setattr(model, "_encode_rows", diverging_encode)
@@ -172,13 +214,17 @@ class TestMapBlocks:
         fam, split = small_problem()
         encode = model._encode_rows
         failed_in = []
+        diverged = threading.Event()
 
         def diverging_encode(family, active, leaves, config):
-            # Training blocks (leaves that require gradients) after the first
-            # one diverge.
-            if leaves["phi_pos"].requires_grad and active[0] > 0:
-                failed_in.append(threading.current_thread().name)
-                raise NumericsError("non-finite output in residue layer 0")
+            # Training blocks (leaves that require gradients) diverge on the
+            # pool thread; the calling thread's blocks wait until one has.
+            if leaves["phi_pos"].requires_grad:
+                if threading.current_thread().name.startswith("ThreadPoolExecutor"):
+                    failed_in.append(threading.current_thread().name)
+                    diverged.set()
+                    raise NumericsError("non-finite output in residue layer 0")
+                diverged.wait(10)
             return encode(family, active, leaves, config)
 
         monkeypatch.setattr(model, "_encode_rows", diverging_encode)
@@ -238,8 +284,8 @@ class TestBlockSizes:
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 class TestPoolSize:
-    """One worker per CPU the process may use; the CLI pins BLAS to one
-    thread unless a BLAS variable is set."""
+    """One worker per CPU the process may use, the calling thread being one
+    of them; the CLI pins BLAS to one thread unless a BLAS variable is set."""
 
     @staticmethod
     def probe(pin_to_one_cpu=False, **env_vars) -> dict:
@@ -270,7 +316,7 @@ class TestPoolSize:
     @pytest.mark.skipif(CPUS < 2, reason="needs two usable CPUs")
     def test_pool_has_one_worker_per_usable_cpu(self):
         doc = self.probe()
-        assert doc["cpus"] == CPUS and doc["pool"] == CPUS
+        assert doc["cpus"] == CPUS and doc["pool"] == CPUS - 1
         assert 1 < doc["threads"] <= 1 + doc["pool"]
 
     def test_an_explicit_blas_setting_wins(self):
