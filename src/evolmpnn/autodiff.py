@@ -388,36 +388,40 @@ def neighbor_sum(a: Tensor, dst, src, n_out: int | None = None, weight=None) -> 
     return _result(data, (a,), backward)
 
 
-def map_rows(fn, n_rows: int, bytes_per_row: int, leaves: dict[str, Tensor]) -> Tensor:
+def map_rows(fn, n_rows: int, bytes_per_row: int, inputs: dict[str, Tensor]) -> Tensor:
     """Row blocks of a per-row computation, run on the ``data.map_blocks``
     worker pool and joined into one differentiable tensor.
 
-    ``fn(lo, hi, block_leaves)`` computes output rows [lo, hi) from
-    ``block_leaves``, which holds a handle over the same array for each of
-    ``leaves``; it must use no other tensor that requires a gradient. Each
-    block gets its own handles, so no two blocks write one ``grad``. The
-    output is the block outputs concatenated along axis 0.
+    ``fn(lo, hi, block_inputs)`` computes output rows [lo, hi) from
+    ``block_inputs``, which holds a handle over the same array for each of
+    ``inputs``; it must use no other tensor that requires a gradient. The
+    inputs may be any tensors, leaves or results of other ops. Each block
+    gets its own handles, so no two blocks write one ``grad``. The output is
+    the block outputs concatenated along axis 0.
 
-    When no leaf requires a gradient the result is a constant and nothing is
-    kept. Otherwise each block's graph is kept until backward, which maps
+    When no input requires a gradient the result is a constant and nothing
+    is kept. Otherwise each block's graph is kept until backward, which maps
     the same blocks again: each block seeds its output with its rows of the
     incoming gradient, runs its own backward and then drops its graph, and
-    the blocks' leaf gradients are added into ``leaves`` in block order.
-    The sum therefore does not depend on the worker count, but it differs in
-    the last bits from one backward over all rows. The graphs of all blocks
-    are alive together between forward and backward, so a differentiable
-    call's memory is still that of one graph over every row (O(rows * N^2)
-    for the residue encoder); the blocks bound only the memory of a call
+    the blocks' input gradients are added into ``inputs`` in block order,
+    from where the outer backward carries them on. The sum therefore does
+    not depend on the worker count, but it differs in the last bits from one
+    backward over all rows. The graphs of all blocks are alive together
+    between forward and backward, so a differentiable call's forward memory
+    is still that of one graph over every row (O(rows * N^2) for the residue
+    encoder, O(rows * M) per head for protein attention); backward drops
+    each block's graph as it goes, but keeps every block's input gradients
+    until the last block is done. The blocks bound the memory of a call
     without gradients.
     """
 
     def forward_block(lo, hi):
-        own = {name: Tensor(leaf.data, leaf.requires_grad) for name, leaf in leaves.items()}
+        own = {name: Tensor(t.data, t.requires_grad) for name, t in inputs.items()}
         return lo, fn(lo, hi, own), own
 
     blocks = map_blocks(forward_block, n_rows, bytes_per_row)
     data = np.concatenate([out.data for _, out, _ in blocks])
-    if not any(leaf.requires_grad for leaf in leaves.values()):
+    if not any(t.requires_grad for t in inputs.values()):
         return constant(data)
     graphs = {lo: (out, own) for lo, out, own in blocks}
 
@@ -429,6 +433,6 @@ def map_rows(fn, n_rows: int, bytes_per_row: int, leaves: dict[str, Tensor]) -> 
 
         for block_grads in map_blocks(backward_block, n_rows, bytes_per_row):
             for name, block_grad in block_grads.items():
-                leaves[name]._accumulate(block_grad)
+                inputs[name]._accumulate(block_grad)
 
-    return _result(data, tuple(leaves.values()), backward)
+    return _result(data, tuple(inputs.values()), backward)

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    decode_json,
     knn_graph,
     load_family,
     load_landscape_spec,
@@ -65,8 +66,7 @@ class CheckpointError(ValueError):
 def load_run_config(path) -> dict:
     """Parse and validate a run config; paths resolve relative to the file."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = decode_json(path.read_bytes(), path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
     unknown = set(doc) - {"model", "train", "data"}
@@ -146,7 +146,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     manifest_end = 8 + manifest_len
     if manifest_end > len(raw):
         raise CheckpointError(f"{path}: truncated manifest")
-    manifest = json.loads(raw[8:manifest_end].decode("utf-8"))
+    manifest = decode_json(raw[8:manifest_end], path, CheckpointError)
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("format_version") == 1:

@@ -76,6 +76,15 @@ def check_known_keys(cls, doc: dict, what: str) -> None:
         raise ValueError(f"unknown {what}: {sorted(unknown)}")
 
 
+def decode_json(raw: bytes, path, error: type[ValueError] = ValueError):
+    """The UTF-8 JSON document ``raw`` read from ``path``; bytes that are
+    not one raise ``error`` naming the path."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise error(f"{path}: not a UTF-8 JSON document ({err})") from err
+
+
 @dataclass(frozen=True)
 class ProteinRecord:
     """One mutant: aligned sequence plus its measured property as a 1-tuple."""
@@ -397,10 +406,12 @@ class Graph:
 
 # Bytes per block of every blocked loop: the all-pairs helpers (K-NN, Hamming
 # matrix, distortion) and the edge blocks of ``autodiff`` charge their
-# scratch, and inference 64 bytes per attention logit. Blocks near the CPU
-# caches ran fastest: 64 proteins at N = 32 beat larger blocks whose
-# activations no longer fit. ``map_blocks`` keeps one block in flight per
-# worker thread, so their scratch is W times this.
+# scratch, and the encode and query blocks of ``autodiff.map_rows``, in
+# training and inference alike, ``residue_encoder.LOGIT_BYTES`` per
+# attention logit. Blocks near the CPU caches ran fastest: 64 proteins at
+# N = 32 beat larger blocks whose activations no longer fit. ``map_blocks``
+# keeps one block in flight per worker thread, so their scratch is W times
+# this.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -614,8 +625,8 @@ class LandscapeSpec:
 
 
 def load_landscape_spec(path) -> LandscapeSpec:
-    with open(path, encoding="utf-8") as fh:
-        return LandscapeSpec.from_json(json.load(fh))
+    with open(path, "rb") as fh:
+        return LandscapeSpec.from_json(decode_json(fh.read(), path))
 
 
 def landscape_value(spec: LandscapeSpec, encoded: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from .data import ALPHABET, Family, _is_int
+from .data import ALPHABET, Family, _is_int, decode_json
 
 SIDECAR_MAGIC = b"EVSC"
 PHI_POS_INIT_MEAN = 1.0
@@ -164,8 +164,8 @@ def _read_sidecar_binary(path, values_per_record: int) -> tuple[dict[str, np.nda
 
 
 def _read_sidecar_json(path, values_per_record: int) -> tuple[dict[str, np.ndarray], int]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        doc = decode_json(fh.read(), path, SidecarError)
     if not isinstance(doc, dict):
         raise SidecarError(f"{path}: a JSON sidecar must be an object")
     if doc.get("magic") != "EVSC":

@@ -16,14 +16,13 @@ def rank_average(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     a = np.asarray(values, dtype=np.float64).reshape(-1)
     order = np.argsort(a, kind="mergesort")
+    ordered = a[order]
+    # Runs of equal sorted values span [first, last]; NaN never equals, so
+    # each NaN is a run of its own.
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], a.size] - 1
     ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 
@@ -90,15 +89,7 @@ def predict(
     graph: Graph | None = None,
 ) -> np.ndarray:
     """Predictions for the requested rows, as a vector on the raw target scale."""
-    pred = forward(
-        family,
-        params,
-        config,
-        rows=rows,
-        train_ids=train_ids,
-        anchor_draw=0,
-        graph=graph,
-    )
+    pred = forward(family, params, config, rows=rows, train_ids=train_ids, graph=graph)
     return pred.y_hat[:, 0] * params.buffers["target_std"] + params.buffers["target_mean"]
 
 

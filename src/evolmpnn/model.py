@@ -18,17 +18,19 @@ compute over every record.
 The all-pairs variant's last evolution layer attends only from the rows it
 is asked about, so a training step's last layer is O(B * M).
 
-Every forward pass encodes proteins in independent blocks of 65,536 // N^2
-through ``autodiff.map_rows``, spread over the W worker threads of
-``data.map_blocks``, one per usable CPU. Only training steps build the
-autodiff graph: each encode block keeps its own graph, backward runs per
-block on the pool, and the blocks' parameter gradients are added in block
-order, so trained parameters do not depend on W. A step's memory is still
-that of the graph over every active row. Inference and validation run with
-constant leaves, so no op keeps its inputs or a backward closure, and they
-also attend from query rows (65,536 // M per block) in blocks: their memory
-is O(W * block * N^2 + W * block * M + M * d), and their outputs do not
-depend on W.
+Every forward pass runs two kinds of independent row blocks through
+``autodiff.map_rows``, spread over the W worker threads of
+``data.map_blocks``, one per usable CPU: the per-protein encoding, in blocks
+of 65,536 // N^2 proteins, and the all-pairs variant's query rows, in
+blocks of 65,536 // M rows. Only training steps build the autodiff graph:
+each block keeps its own graph, backward runs per block on the pool, and
+the blocks' gradients are added in block order, so trained parameters do
+not depend on W. A step's forward memory is still that of the graph over
+every active row, and over every query row of a non-final all-pairs layer
+(O(M^2) per head); backward frees each block's graph as it goes. Inference
+and validation run with constant leaves, so no op keeps its inputs or a
+backward closure: their memory is O(W * block * N^2 + W * block * M +
+M * d), and their outputs do not depend on W.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .embeddings import (
     onehot_residues,
 )
 from .evolution import evolgnn_layer, evolformer_layer, evolmpnn_layer, sample_anchor_sets
-from .residue_encoder import NumericsError, attention_layer
+from .residue_encoder import LOGIT_BYTES, NumericsError, attention_layer
 
 VARIANTS = ("evolmpnn", "evolgnn", "evolformer")
 DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -257,6 +259,18 @@ def _check_rows(rows, m: int) -> list[int]:
     return checked
 
 
+def _check_sidecars(family: Family, config: ModelConfig) -> None:
+    """Reject sidecar features that the config reads but whose shape is not
+    M x d (protein) or M x N x d (residue) for the config's d."""
+    for mode, name, shape in (
+        (config.protein_mode, "protein_feats", (family.m, config.d)),
+        (config.residue_mode, "residue_feats", (family.m, family.n, config.d)),
+    ):
+        feats = getattr(family, name)
+        if mode == "sidecar" and feats is not None and feats.shape != shape:
+            raise ValueError(f"family.{name} has shape {feats.shape}, expected {shape}")
+
+
 def _pool_rows(family: Family, train_ids) -> np.ndarray:
     """Ascending family rows of the anchor pool, whose ids must be unique
     family ids."""
@@ -285,19 +299,21 @@ def build_forward(
     """Run the full pipeline, returning tensors for the requested rows.
 
     The per-protein encoding runs in ``autodiff.map_rows`` blocks of
-    65,536 // N^2 proteins on W worker threads, one per usable CPU.
-    Training passes ``grad=True``: the leaves require gradients, every op
-    records its backward closure, and each encode block keeps its own graph
-    until backward, which also runs per block. Inference and validation pass
-    ``grad=False``: the leaves are constants, so no graph is kept, and
-    evolformer's query rows run in blocks too. Its memory is then
+    65,536 // N^2 proteins, and evolformer's query rows in blocks of
+    65,536 // M rows, on W worker threads, one per usable CPU. Training
+    passes ``grad=True``: the leaves require gradients, every op records its
+    backward closure, and each block keeps its own graph until backward,
+    which also runs per block. Inference and validation pass ``grad=False``:
+    the leaves are constants, so no graph is kept, and memory is
     O(W * block * N^2 + W * block * M + M * d).
 
     ``rows`` are family row indices, in any order and possibly repeated;
     each must be an integer in [0, M). ``train_ids``, the anchor pool
     (default: every record), must be unique family ids. ``anchor_draw``
     keys a training step's anchor sets, and evaluation uses 0; with
-    ``config.resample_anchors`` off it is ignored.
+    ``config.resample_anchors`` off it is ignored. Sidecar features that the
+    config reads must be M x d (``protein_feats``) and M x N x d
+    (``residue_feats``).
     """
     dtype = config.np_dtype
     leaves = {
@@ -305,6 +321,7 @@ def build_forward(
         for name, value in params.tensors.items()
     }
     requested = list(range(family.m)) if rows is None else _check_rows(rows, family.m)
+    _check_sidecars(family, config)
 
     if config.variant == "evolmpnn":
         pool_rows = _pool_rows(family, family.ids if train_ids is None else train_ids)
@@ -339,7 +356,7 @@ def build_forward(
     encoded = ad.map_rows(
         lambda lo, hi, own: ad.concat_last(_encode_rows(family, active[lo:hi], own, config)),
         len(active),
-        64 * family.n**2,
+        LOGIT_BYTES * family.n**2,
         leaves,
     )
     r_bar, h = ad.split_last(encoded, [config.d, config.d])
@@ -383,19 +400,12 @@ def forward(
     *,
     rows=None,
     train_ids=None,
-    anchor_draw: int = 0,
     graph: Graph | None = None,
 ) -> Prediction:
-    """Inference-only forward pass returning plain arrays; keeps no graph."""
+    """Inference-only forward pass with the evaluation anchor draw, returning
+    plain arrays; keeps no graph."""
     fg = build_forward(
-        family,
-        params,
-        config,
-        rows=rows,
-        train_ids=train_ids,
-        anchor_draw=anchor_draw,
-        graph=graph,
-        grad=False,
+        family, params, config, rows=rows, train_ids=train_ids, graph=graph, grad=False
     )
     return Prediction(y_hat=fg.y_hat.data, z=fg.z.data)
 

@@ -5,10 +5,11 @@ embedding width, not the head width), adds the attended values back through
 a residual, applies an ELU feed-forward block, and finishes with one
 LayerNorm over the whole layer. The same layer implementation serves the
 protein-level attention variant, which asks for a subset of query rows and
-passes a bilinear logit bias as its two factors, so neither an M x M bias
-nor, without gradients, an M x M attention matrix is ever formed: without
-gradients the query rows run in ``data.map_blocks`` blocks, charged 64
-bytes per attention logit.
+passes a bilinear logit bias as its two factors, so no M x M bias is formed.
+Its query rows run in ``autodiff.map_rows`` blocks, charged ``LOGIT_BYTES``
+per attention logit, in training as in inference: without gradients no
+M x M attention matrix is formed, and with them each block's backward frees
+that block's graph.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .data import map_blocks
 
 LAYERNORM_EPS = 1e-8
+# Row-block bytes charged per attention logit: the logits, their softmax
+# and, in training, the graph and gradients kept around them.
+LOGIT_BYTES = 64
 
 class NumericsError(FloatingPointError):
     """Raised when a forward pass produces non-finite activations."""
@@ -46,54 +49,57 @@ def attention_layer(
 
     Each head's keys and values are computed once over all M rows; queries,
     logits, softmax, residual, feed-forward and LayerNorm run only for the
-    query rows. When no input requires a gradient, a 2-D ``x`` is processed
-    in ``data.map_blocks`` blocks of 65,536 // M query rows on the worker
-    pool, whose outputs are joined into a constant, so memory is
-    O(W * block * M + M * d) for W workers.
+    query rows. A 2-D ``x`` maps its query rows through ``autodiff.map_rows``
+    in blocks of 65,536 // M rows on the worker pool, with or without
+    gradients; each block reads x, the layer's weights, each head's keys and
+    values and the bias factors through its own handles. Without gradients
+    memory is O(W * block * M + M * d) for W workers. With gradients every
+    block keeps its graph until backward, so the forward still holds the
+    logits of all query rows; backward runs per block and frees each block's
+    graph, which lowers the step's peak. A 3-D ``x`` (the residue stack,
+    which runs inside the encode blocks) is processed in one call.
     """
     d = x.shape[-1]
     scale = 1.0 / math.sqrt(d)
-    keys, values = [], []
+    inputs = {name: t for name, t in params.items() if name.startswith(f"{prefix}.")}
+    inputs["x"] = x
     for h in range(n_heads):
-        keys.append(ad.transpose_last(ad.matmul(x, params[f"{prefix}.h{h}.wk"])))
+        inputs[f"keys{h}"] = ad.transpose_last(ad.matmul(x, params[f"{prefix}.h{h}.wk"]))
         v = ad.matmul(ad.matmul(x, params[f"{prefix}.h{h}.wv"]), params[f"{prefix}.h{h}.wo"])
-        values.append(v)
-    right_t = None if bias_factors is None else ad.transpose_last(bias_factors[1])
+        inputs[f"values{h}"] = v
+    if bias_factors is not None:
+        inputs.update(left=bias_factors[0], right_t=ad.transpose_last(bias_factors[1]))
 
-    def attend(index) -> ad.Tensor:
-        """The layer's output for query rows ``index`` (None: every row of x)."""
-        xq = x if index is None else ad.take_rows(x, index)
+    def attend(index, t: dict[str, ad.Tensor]) -> ad.Tensor:
+        """Output rows ``index`` (None: every row of x), read from ``t``."""
+        xq = t["x"] if index is None else ad.take_rows(t["x"], index)
         bias = None
         if bias_factors is not None:
-            left = bias_factors[0] if index is None else ad.take_rows(bias_factors[0], index)
-            bias = ad.mul(ad.matmul(left, right_t), bias_factors[2])
+            left = t["left"] if index is None else ad.take_rows(t["left"], index)
+            bias = ad.mul(ad.matmul(left, t["right_t"]), bias_factors[2])
         attended = None
         for h in range(n_heads):
-            q = ad.matmul(xq, params[f"{prefix}.h{h}.wq"])
-            logits = ad.mul(ad.matmul(q, keys[h]), scale)
+            q = ad.matmul(xq, t[f"{prefix}.h{h}.wq"])
+            logits = ad.mul(ad.matmul(q, t[f"keys{h}"]), scale)
             if bias is not None:
                 logits = ad.add(logits, bias)
             if not np.all(np.isfinite(logits.data)):
                 raise NumericsError(f"non-finite attention logits in {label}, head {h}")
-            head = ad.matmul(ad.softmax_last(logits), values[h])
+            head = ad.matmul(ad.softmax_last(logits), t[f"values{h}"])
             attended = head if attended is None else ad.add(attended, head)
         residual = ad.add(xq, attended)
-        ffn = ad.matmul(
-            ad.elu(ad.matmul(residual, params[f"{prefix}.ffn_w1"])), params[f"{prefix}.ffn_w2"]
-        )
+        ffn = ad.matmul(ad.elu(ad.matmul(residual, t[f"{prefix}.ffn_w1"])), t[f"{prefix}.ffn_w2"])
         pre_norm = ad.add(residual, ffn)
         normed = ad.normalize_last(pre_norm, eps=LAYERNORM_EPS)
-        out = ad.add(ad.mul(normed, params[f"{prefix}.ln_gain"]), params[f"{prefix}.ln_bias"])
+        out = ad.add(ad.mul(normed, t[f"{prefix}.ln_gain"]), t[f"{prefix}.ln_bias"])
         if not np.all(np.isfinite(out.data)):
             raise NumericsError(f"non-finite output in {label}")
         return out
 
     index = None if rows is None else np.asarray(rows, dtype=np.intp)
-    inputs = [x, *(t for name, t in params.items() if name.startswith(f"{prefix}."))]
-    if bias_factors is not None:
-        inputs += bias_factors[:2]
-    if len(x.shape) > 2 or any(t.requires_grad for t in inputs):
-        return attend(index)
+    if len(x.shape) > 2:
+        return attend(index, inputs)
     index = np.arange(x.shape[0]) if index is None else index
-    blocks = map_blocks(lambda lo, hi: attend(index[lo:hi]).data, len(index), 64 * x.shape[0])
-    return ad.constant(np.concatenate(blocks))
+    return ad.map_rows(
+        lambda lo, hi, t: attend(index[lo:hi], t), len(index), LOGIT_BYTES * x.shape[0], inputs
+    )

@@ -207,6 +207,31 @@ class TestSynthAndSplit:
         assert json.loads(err) == {"error": "seed must be an integer >= 0, got -1"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload", [b"\xff\xfe{", b"{\"n\": "], ids=["utf8", "json"])
+    @pytest.mark.parametrize("reader", ["landscape", "run_config", "checkpoint", "sidecar"])
+    def test_undecodable_json_names_the_file(self, tmp_path, capsys, reader, payload):
+        bad = tmp_path / "bad.json"
+        if reader == "landscape":
+            argv = ["synth", "--config", str(bad), "--out", str(tmp_path / "f.csv")]
+        elif reader == "run_config":
+            argv = ["train", "--config", str(bad), "--out", str(tmp_path / "m.ckpt")]
+        elif reader == "checkpoint":
+            bad = tmp_path / "bad.ckpt"
+            argv = ["eval", "--ckpt", str(bad)]
+            payload = b"EVCK" + struct.pack("<I", len(payload)) + payload
+        else:
+            family_path, split_path = make_dataset(tmp_path)
+            cfg = run_config_json(tmp_path, family_path, split_path, protein_mode="sidecar")
+            run = json.loads(cfg.read_text())
+            run["data"]["protein_sidecar"] = bad.name
+            cfg.write_text(json.dumps(run))
+            argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]
+        bad.write_bytes(payload)
+        capsys.readouterr()
+        assert dispatch(argv) == 1
+        message = json.loads(capsys.readouterr().err)["error"]
+        assert message.startswith(f"{bad}: not a UTF-8 JSON document")
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             dispatch(["split", "--bogus", "x"])

@@ -59,6 +59,21 @@ def traced_peak(fn):
     return result, peak
 
 
+def loop_rank_average(values) -> np.ndarray:
+    """Average ranks by walking runs of equal sorted values one at a time."""
+    a = np.asarray(values, dtype=np.float64).reshape(-1)
+    order = np.argsort(a, kind="mergesort")
+    ranks = np.empty(a.size, dtype=np.float64)
+    i = 0
+    while i < a.size:
+        j = i
+        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def naive_spearman(x, y):
     """O(n^2) rank computation plus the direct Pearson formula."""
     x, y = np.asarray(x, float), np.asarray(y, float)
@@ -113,6 +128,12 @@ class TestSpearman:
 
     def test_rank_average_ties(self):
         np.testing.assert_allclose(rank_average([10, 20, 20, 30]), [1, 2.5, 2.5, 4])
+        values = np.random.default_rng(0).integers(0, 50, size=500).astype(float)
+        values[::7] = np.nan
+        values[3] = -0.0
+        values[4] = 0.0
+        assert rank_average(values).tobytes() == loop_rank_average(values).tobytes()
+        assert rank_average([]).shape == (0,)
 
 
 class TestMutationGroups:

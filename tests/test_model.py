@@ -186,8 +186,8 @@ class TestSubsetsAndEquivariance:
         fam = tiny_family()
         config = tiny_config(resample_anchors=False)
         params = init_params(config, fam.n, seed=8)
-        a = forward(fam, params, config, anchor_draw=0)
-        b = forward(fam, params, config, anchor_draw=0)
+        a = forward(fam, params, config)
+        b = forward(fam, params, config)
         assert np.array_equal(a.y_hat, b.y_hat)
 
     def test_frozen_anchors_ignore_layer_and_draw(self, monkeypatch):
@@ -208,14 +208,16 @@ class TestSubsetsAndEquivariance:
             config = tiny_config(resample_anchors=resample, l_p=2)
             params = init_params(config, fam.n, seed=8)
             calls.clear()
-            draw0, draw5 = (forward(fam, params, config, anchor_draw=d) for d in (0, 5))
+            draw0, draw5 = (
+                build_forward(fam, params, config, grad=False, anchor_draw=d) for d in (0, 5)
+            )
             assert len(calls) == 4  # two layers, two draws
             if resample:
                 assert len(set(calls)) == 4
             else:
                 assert len(set(calls)) == 1
-                assert draw5.y_hat.tobytes() == draw0.y_hat.tobytes()
-                assert draw5.z.tobytes() == draw0.z.tobytes()
+                assert draw5.y_hat.data.tobytes() == draw0.y_hat.data.tobytes()
+                assert draw5.z.data.tobytes() == draw0.z.data.tobytes()
 
     def test_anchor_seed_is_non_negative_and_wraps_modulo_2_64(self):
         with pytest.raises(ValueError, match="anchor_seed must be >= 0, got -3"):
@@ -377,6 +379,27 @@ class TestEvolformerMemory:
         assert peak < 128e6
         assert len(batch) == 32 and all(np.all(np.isfinite(g)) for g in grads.values())
 
+    @pytest.mark.usefixtures("fixed_workers")
+    def test_training_step_backpropagates_query_blocks_one_at_a_time(self):
+        # The first of two layers attends from all M rows, in blocks of 32
+        # query rows whose graphs are all alive after the forward; backward
+        # frees each block's graph in turn. With one graph over all M query
+        # rows this step peaked at 366 MB traced; with the blocks, 234 MB.
+        spec = LandscapeSpec(n=8, m=2048, max_mutations=4, additive=np.zeros((8, 20)), seed=0)
+        fam = synth_family(spec)
+        config = ModelConfig(variant="evolformer", d=8, heads=1, l_r=1, l_p=2)
+        params = init_params(config, fam.n, seed=0)
+        batch = list(range(0, fam.m, 64))
+
+        def step():
+            fg = build_forward(fam, params, config, rows=batch)
+            mse_loss(fg.y_hat, fam.targets[batch]).backward()
+            return fg.grads()
+
+        grads, peak = traced_peak(step)
+        assert peak < 290e6
+        assert "evo0.h0.wq" in grads and all(np.all(np.isfinite(g)) for g in grads.values())
+
 
 class TestSidecarModes:
     def test_sidecar_features_flow_through(self):
@@ -390,6 +413,25 @@ class TestSidecarModes:
         assert pred.y_hat.shape == (fam.m, 1)
         with pytest.raises(ValueError, match="sidecar requires"):
             forward(Family(fam.records, prot), params, config)
+
+    @pytest.mark.parametrize(
+        "protein_shape,residue_shape,field",
+        [
+            ((4, 5), (4, 3, 4), "protein_feats"),
+            ((4,), (4, 3, 4), "protein_feats"),
+            ((4, 4), (4, 3, 5), "residue_feats"),
+            ((4, 4), (4, 3), "residue_feats"),
+        ],
+    )
+    def test_sidecar_features_of_the_wrong_shape_are_named(
+        self, protein_shape, residue_shape, field
+    ):
+        fam = tiny_family()
+        config = tiny_config(residue_mode="sidecar", protein_mode="sidecar")
+        params = init_params(config, fam.n, seed=9)
+        family = Family(fam.records, np.ones(protein_shape), np.ones(residue_shape))
+        with pytest.raises(ValueError, match=f"family.{field} has shape"):
+            forward(family, params, config)
 
     def test_sidecar_params_have_no_embeddings(self):
         config = tiny_config(residue_mode="sidecar", protein_mode="sidecar")
@@ -517,10 +559,25 @@ class TestGradientCheck:
             return encode(family, active, leaves, config)
 
         monkeypatch.setattr(model_module, "_encode_rows", counting)
+        query_rows = []
+        softmax = ad.softmax_last
+
+        def spying(logits):
+            if logits.shape[-1] == fam.m:  # evolformer's; the residue stack's are N wide
+                query_rows.append(logits.shape[0])
+            return softmax(logits)
+
+        monkeypatch.setattr(ad, "softmax_last", spying)
         blocked = grads()
+        monkeypatch.setattr(ad, "softmax_last", softmax)
         # Blocks may finish in any order on the worker pool.
         expected = [per_block] * (7 // per_block) + [7 % per_block] * (7 % per_block > 0)
         assert sorted(encoded, reverse=True) == expected
+        if variant == "evolformer":
+            # Per layer and head, blocks of 65,536 // M query rows under this
+            # budget, which here has as many rows as an encode block.
+            per_head = sorted(config.l_p * config.heads * expected, reverse=True)
+            assert sorted(query_rows, reverse=True) == per_head
         assert blocked.keys() == whole.keys()
         for name, grad in blocked.items():
             np.testing.assert_allclose(grad, whole[name], rtol=1e-12, atol=0, err_msg=name)
