@@ -403,16 +403,17 @@ def map_rows(fn, n_rows: int, bytes_per_row: int, inputs: dict[str, Tensor]) -> 
     is kept. Otherwise each block's graph is kept until backward, which maps
     the same blocks again: each block seeds its output with its rows of the
     incoming gradient, runs its own backward and then drops its graph, and
-    the blocks' input gradients are added into ``inputs`` in block order,
-    from where the outer backward carries them on. The sum therefore does
-    not depend on the worker count, but it differs in the last bits from one
-    backward over all rows. The graphs of all blocks are alive together
-    between forward and backward, so a differentiable call's forward memory
-    is still that of one graph over every row (O(rows * N^2) for the residue
-    encoder, O(rows * M) per head for protein attention); backward drops
-    each block's graph as it goes, but keeps every block's input gradients
-    until the last block is done. The blocks bound the memory of a call
-    without gradients.
+    its input gradients are added into ``inputs`` as soon as it and every
+    block before it are done, from where the outer backward carries them on.
+    The sum is therefore in block order and does not depend on the worker
+    count, but it differs in the last bits from one backward over all rows.
+    The graphs of all blocks are alive together between forward and
+    backward, so a differentiable call's forward memory is still that of one
+    graph over every row (O(rows * N^2) for the residue encoder,
+    O(rows * M) per head for protein attention); backward drops each
+    block's graph as it goes and holds the input gradients of at most 2W
+    blocks at once, each as large as its input. The blocks bound the memory
+    of a call without gradients.
     """
 
     def forward_block(lo, hi):
@@ -431,8 +432,10 @@ def map_rows(fn, n_rows: int, bytes_per_row: int, inputs: dict[str, Tensor]) -> 
             out.backward(g[lo:hi])
             return {name: t.grad for name, t in own.items() if t.grad is not None}
 
-        for block_grads in map_blocks(backward_block, n_rows, bytes_per_row):
+        def add(block_grads):
             for name, block_grad in block_grads.items():
                 inputs[name]._accumulate(block_grad)
+
+        map_blocks(backward_block, n_rows, bytes_per_row, consume=add)
 
     return _result(data, tuple(inputs.values()), backward)

@@ -143,7 +143,7 @@ class Family:
         self._targets = np.array([r.target[0] for r in self.records], dtype=np.float64)
         for name, lead in (("protein_feats", (self.m,)), ("residue_feats", (self.m, self.n))):
             feats = getattr(self, name)
-            if feats is not None and feats.shape[: len(lead)] != lead:
+            if feats is not None and (feats.ndim != len(lead) + 1 or feats.shape[:-1] != lead):
                 raise FamilyError(f"{name} has shape {feats.shape}, expected {lead} + (d,)")
 
     @property
@@ -440,7 +440,7 @@ _in_pool = threading.local()
 _MIN_BLOCKS_PER_WORKER = 4
 
 
-def map_blocks(fn, n_rows: int, bytes_per_row: int) -> list:
+def map_blocks(fn, n_rows: int, bytes_per_row: int, consume=None) -> list | None:
     """``[fn(lo, hi), ...]`` over the blocks [lo, hi) of ``n_rows`` rows, in
     order, spread over the calling thread and the pool's threads.
 
@@ -456,6 +456,12 @@ def map_blocks(fn, n_rows: int, bytes_per_row: int) -> list:
     serially in this thread. The exception of the first failing block, in
     order, reaches the caller unchanged once the blocks in flight have
     finished; every block before it has run, and no block after it starts.
+
+    With ``consume``, nothing is returned: each result is passed to
+    ``consume(result)`` in block order, one call at a time, as soon as its
+    block and every block before it have finished, and then dropped. No
+    worker starts a block 2W or more blocks past the first one not yet
+    consumed, so at most 2W results wait at once.
     """
     step = _block_rows(bytes_per_row)
     bounds = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)] or [(0, 0)]
@@ -463,25 +469,48 @@ def map_blocks(fn, n_rows: int, bytes_per_row: int) -> list:
     if _POOL is not None and not getattr(_in_pool, "active", False):
         workers = min(_POOL._max_workers + 1, len(bounds) // _MIN_BLOCKS_PER_WORKER)
     if workers < 2:
-        return [fn(lo, hi) for lo, hi in bounds]
+        if consume is None:
+            return [fn(lo, hi) for lo, hi in bounds]
+        for lo, hi in bounds:
+            consume(fn(lo, hi))
+        return None
     results = [None] * len(bounds)
+    finished = {}  # with ``consume``: results not yet consumed, by block
     failures = {}
-    failures_lock = threading.Lock()
+    consumed = 0
+    # Guards the three above; wakes workers that wait for ``consumed``.
+    state = threading.Condition()
     # next() on a count is atomic, so each block index is taken exactly once.
     taken = itertools.count()
 
+    def far_ahead(i):
+        return consume is not None and i < len(bounds) and i - consumed >= 2 * workers
+
     def take_blocks():
+        nonlocal consumed
         _in_pool.active = True
         try:
             for i in taken:
-                with failures_lock:
+                with state:
+                    # The worker on block ``consumed`` never waits here.
+                    state.wait_for(lambda: failures or not far_ahead(i))
                     if i >= len(bounds) or any(j < i for j in failures):
                         return
                 try:
-                    results[i] = fn(*bounds[i])
+                    result = fn(*bounds[i])
+                    with state:
+                        if consume is None:
+                            results[i] = result
+                        else:
+                            finished[i] = result
+                            while consumed in finished:
+                                consume(finished.pop(consumed))
+                                consumed += 1
+                            state.notify_all()
                 except BaseException as err:
-                    with failures_lock:
+                    with state:
                         failures[i] = err
+                        state.notify_all()
                     return
         finally:
             _in_pool.active = False
@@ -496,7 +525,7 @@ def map_blocks(fn, n_rows: int, bytes_per_row: int) -> list:
         wait(helpers)
     if failures:
         raise failures[min(failures)]
-    return results
+    return results if consume is None else None
 
 
 def _hamming_rows(encoded: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -226,11 +226,17 @@ def _encode_rows(
     """
     dtype = config.np_dtype
     encoded = family.encoded[active]
+    feats = family.protein_feats
+    if config.protein_mode == "sidecar" and feats is not None and feats.shape[1] != config.d:
+        raise ValueError(f"family.protein_feats are {feats.shape[1]} wide, expected d = {config.d}")
     if config.residue_mode == "onehot":
         x = onehot_residues(encoded, leaves["residue_embed"])
     else:
         if family.residue_feats is None:
             raise ValueError("residue_mode=sidecar requires residue features")
+        if family.residue_feats.shape[2] != config.d:
+            width = family.residue_feats.shape[2]
+            raise ValueError(f"family.residue_feats are {width} wide, expected d = {config.d}")
         x = ad.constant(family.residue_feats[active].astype(dtype, copy=False))
     r = apply_positional(x, leaves["phi_pos"])
     for layer in range(config.l_r):
@@ -239,7 +245,6 @@ def _encode_rows(
         )
     r_bar = ad.mean_over(r, axis=1)
 
-    feats = family.protein_feats
     h = init_protein_embeddings(
         encoded,
         config.protein_mode,
@@ -257,18 +262,6 @@ def _check_rows(rows, m: int) -> list[int]:
             raise ValueError(f"row {r!r} is not an integer in [0, {m})")
         checked.append(int(r))
     return checked
-
-
-def _check_sidecars(family: Family, config: ModelConfig) -> None:
-    """Reject sidecar features that the config reads but whose shape is not
-    M x d (protein) or M x N x d (residue) for the config's d."""
-    for mode, name, shape in (
-        (config.protein_mode, "protein_feats", (family.m, config.d)),
-        (config.residue_mode, "residue_feats", (family.m, family.n, config.d)),
-    ):
-        feats = getattr(family, name)
-        if mode == "sidecar" and feats is not None and feats.shape != shape:
-            raise ValueError(f"family.{name} has shape {feats.shape}, expected {shape}")
 
 
 def _pool_rows(family: Family, train_ids) -> np.ndarray:
@@ -312,8 +305,7 @@ def build_forward(
     (default: every record), must be unique family ids. ``anchor_draw``
     keys a training step's anchor sets, and evaluation uses 0; with
     ``config.resample_anchors`` off it is ignored. Sidecar features that the
-    config reads must be M x d (``protein_feats``) and M x N x d
-    (``residue_feats``).
+    config reads must be ``config.d`` wide.
     """
     dtype = config.np_dtype
     leaves = {
@@ -321,7 +313,6 @@ def build_forward(
         for name, value in params.tensors.items()
     }
     requested = list(range(family.m)) if rows is None else _check_rows(rows, family.m)
-    _check_sidecars(family, config)
 
     if config.variant == "evolmpnn":
         pool_rows = _pool_rows(family, family.ids if train_ids is None else train_ids)

@@ -11,6 +11,8 @@ from evolmpnn import autodiff as ad
 from evolmpnn import data
 from evolmpnn.data import ALPHABET, Family, ProteinRecord, knn_graph
 
+from test_evaluation import traced_peak
+
 
 def numeric_grad(fn, arrays, which, eps=1e-6):
     """Central finite differences of fn w.r.t. arrays[which]."""
@@ -236,6 +238,21 @@ class TestMapRows:
         whole = ad.elu(ad.matmul(ad.constant(x), ad.constant(w))).data
         out = self.rows_times_w([ad.Tensor(x, requires_grad=True), ad.constant(w)])
         assert out.requires_grad and out.data.tobytes() == whole.tobytes()
+
+    @pytest.mark.usefixtures("fixed_workers")
+    def test_backward_adds_block_gradients_as_blocks_finish(self):
+        # 64 blocks of 8 rows, each of whose input gradients is a full 1 MB
+        # array: kept until the last block was done, they took 64 MB.
+        x = ad.Tensor(np.ones((512, 256)), requires_grad=True)
+        out = ad.map_rows(
+            lambda lo, hi, own: ad.take_rows(own["x"], np.arange(lo, hi)),
+            512,
+            data._BLOCK_BYTES // 8,
+            {"x": x},
+        )
+        _, peak = traced_peak(lambda: out.backward(np.full(out.shape, 2.0)))
+        assert peak < 16e6
+        assert np.array_equal(x.grad, np.full((512, 256), 2.0))
 
     def test_without_gradients_keeps_nothing(self):
         rng = np.random.default_rng(7)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,10 @@ class TestLoadFamily:
             Family(records, protein_feats=np.zeros((2, 4)))
         with pytest.raises(FamilyError, match="residue_feats"):
             Family(records, residue_feats=np.zeros((3, 3, 4)))
+        with pytest.raises(FamilyError, match=re.escape("protein_feats has shape (3,)")):
+            Family(records, protein_feats=np.zeros(3))
+        with pytest.raises(FamilyError, match=re.escape("residue_feats has shape (3, 2)")):
+            Family(records, residue_feats=np.zeros((3, 2)))
         fam = Family(records, np.zeros((3, 4)), np.zeros((3, 2, 4)))
         assert fam == Family(records)  # features take no part in equality
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,40 @@ class TestMapBlocks:
             return lo
 
         assert within(10, lambda: data.map_blocks(fn, 5, data._BLOCK_BYTES)) is raised
+
+    def test_consume_takes_results_in_block_order_and_few_at_once(self, two_workers):
+        # While block 0 runs, the other worker finishes blocks 1-3 but does
+        # not start block 4, 2W blocks past the first one not consumed.
+        started, consumed, seen = [], [], []
+
+        def fn(lo, hi):
+            started.append(lo)
+            if lo == 0:
+                deadline = time.monotonic() + 5
+                while len(started) < 4 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.1)  # time for a fifth block to start, were it allowed
+                seen.append(len(started))
+            return lo
+
+        one_row = data._BLOCK_BYTES
+        assert within(10, lambda: data.map_blocks(fn, 40, one_row, consume=consumed.append)) is None
+        assert seen == [4]
+        assert consumed == list(range(40))
+        assert len(two_workers) == 1
+
+    def test_consume_stops_at_the_first_failing_block(self, two_workers):
+        raised = NumericsError("non-finite output in block 5")
+
+        def fn(lo, hi):
+            if lo == 5:
+                raise raised
+            return lo
+
+        consumed = []
+        run = lambda: data.map_blocks(fn, 20, data._BLOCK_BYTES, consume=consumed.append)  # noqa: E731
+        assert within(10, run) is raised
+        assert consumed == list(range(5))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_validation_divergence_in_a_worker_is_a_training_error(
