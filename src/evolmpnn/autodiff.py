@@ -1,10 +1,18 @@
 """Reverse-mode automatic differentiation on dense numpy arrays.
 
-The engine is deliberately small: a ``Tensor`` wraps one ndarray, each
-operation records a backward closure, and ``backward()`` walks the graph
-once in reverse topological order. Only the operations the models need
-are provided. Everything runs in whatever float dtype the inputs carry,
-so the same code path serves float64 verification and float32 training.
+The engine is deliberately small: a ``Tensor`` wraps one ndarray, and one
+that requires a gradient also carries a graph node. Each operation gives its
+output a node with a backward closure, and ``backward()`` walks the nodes
+once in reverse topological order. The graph links nodes, never tensors, and
+a closure saves only the arrays its backward reads, and only for inputs that
+require a gradient: ``matmul`` and ``mul`` keep the other operand; softmax,
+elu, sigmoid and normalization keep their own output (plus elu's mask and
+the inverse standard deviation); sums, slices, concatenation, transposes,
+gathers and edge sums keep shapes and indices. Every other intermediate is
+freed as soon as the code that made it drops it. Only the operations the
+models need are provided. Everything runs in whatever float dtype the inputs
+carry, so the same code path serves float64 verification and float32
+training.
 """
 
 from __future__ import annotations
@@ -53,26 +61,51 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    """Node in the autodiff graph: value, gradient slot, backward closure."""
+class _Node:
+    """Graph node of a tensor that requires a gradient: the gradient slot,
+    the parent nodes, the backward closure, and the value's shape and dtype.
+    A leaf has no parents and no closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "parents", "backward", "shape", "dtype")
+
+    def __init__(self, value: np.ndarray, parents=(), backward=None):
+        self.grad: np.ndarray | None = None
+        self.parents: tuple[_Node, ...] = parents
+        self.backward = backward
+        self.shape = value.shape
+        self.dtype = value.dtype
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # A copy, since ``g`` may be a view that other nodes also receive;
+            # in C order, since the layout decides how later sums round.
+            self.grad = np.empty(self.shape, dtype=self.dtype)
+            self.grad[...] = g
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """A value in the autodiff graph; one that requires a gradient carries
+    its graph node."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_float_array(data)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node = _Node(self.data) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
 
     def backward(self, grad=None) -> None:
         """Accumulate d(self)/d(leaf), seeded with ``grad`` (default 1 for a
@@ -88,12 +121,19 @@ class Tensor:
                 raise ValueError(
                     f"seed gradient {grad.shape} does not match output {self.data.shape}"
                 )
-        order = _toposort(self)
-        self.grad = grad
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None
+        if self._node is not None:
+            _backprop(self._node, grad)
+
+
+def _backprop(root: _Node, grad: np.ndarray) -> None:
+    """Seed ``root`` with ``grad`` and run every closure once, in reverse
+    topological order, freeing each interior gradient after its closure."""
+    order = _toposort(root)
+    root.grad = grad
+    for node in reversed(order):
+        if node.backward is not None and node.grad is not None:
+            node.backward(node.grad)
+            node.grad = None
 
 
 def constant(x) -> Tensor:
@@ -113,19 +153,21 @@ def _wrap_pair(a, b) -> tuple[Tensor, Tensor]:
     return _wrap(a), _wrap(b)
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+def _result(data: np.ndarray, inputs: tuple[_Node | None, ...], backward) -> Tensor:
+    """A tensor over ``data`` whose node, when any input node exists, runs
+    ``backward``; the closure must read only the nodes and saved arrays it
+    needs, never an input tensor."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    parents = tuple(node for node in inputs if node is not None)
+    if parents:
+        out._node = _Node(data, parents, backward)
     return out
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _toposort(root: _Node) -> list[_Node]:
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -135,7 +177,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
@@ -143,41 +185,44 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 def add(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
-    data = a.data + b.data
+    na, nb = a._node, b._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(g, nb.shape))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data + b.data, (na, nb), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
-    data = a.data - b.data
+    na, nb = a._node, b._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(-g, nb.shape))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data - b.data, (na, nb), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
-    data = a.data * b.data
+    na, nb = a._node, b._node
+    # Each input's gradient reads the other operand.
+    other_a = b.data if na is not None else None
+    other_b = a.data if nb is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g * other_a, na.shape))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(g * other_b, nb.shape))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data * b.data, (na, nb), backward)
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -194,42 +239,43 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def matmul(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
-    data = _mm(a.data, b.data)
+    na, nb = a._node, b._node
+    other_a = b.data if na is not None else None
+    other_b = a.data if nb is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            ga = _mm(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = _mm(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+        if na is not None:
+            ga = _mm(g, np.swapaxes(other_a, -1, -2))
+            na.accumulate(_unbroadcast(ga, na.shape))
+        if nb is not None:
+            gb = _mm(np.swapaxes(other_b, -1, -2), g)
+            nb.accumulate(_unbroadcast(gb, nb.shape))
 
-    return _result(data, (a, b), backward)
+    return _result(_mm(a.data, b.data), (na, nb), backward)
 
 
 def transpose_last(a: Tensor) -> Tensor:
-    data = np.swapaxes(a.data, -1, -2)
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, -1, -2))
+        na.accumulate(np.swapaxes(g, -1, -2))
 
-    return _result(data, (a,), backward)
+    return _result(np.swapaxes(a.data, -1, -2), (na,), backward)
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:
     parts = [_wrap(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=-1)
+    nodes = [p._node for p in parts]
     widths = [p.data.shape[-1] for p in parts]
 
     def backward(g):
         offset = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p._accumulate(g[..., offset : offset + w])
+        for node, w in zip(nodes, widths):
+            if node is not None:
+                node.accumulate(g[..., offset : offset + w])
             offset += w
 
-    return _result(data, tuple(parts), backward)
+    return _result(np.concatenate([p.data for p in parts], axis=-1), tuple(nodes), backward)
 
 
 def split_last(a: Tensor, widths) -> list[Tensor]:
@@ -242,29 +288,25 @@ def split_last(a: Tensor, widths) -> list[Tensor]:
 
 
 def _slice_last(a: Tensor, lo: int, hi: int) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[..., lo:hi] += g
+    na = a._node
 
-    return _result(np.ascontiguousarray(a.data[..., lo:hi]), (a,), backward)
+    def backward(g):
+        if na.grad is None:
+            na.grad = np.zeros(na.shape, dtype=na.dtype)
+        na.grad[..., lo:hi] += g
+
+    return _result(np.ascontiguousarray(a.data[..., lo:hi]), (na,), backward)
 
 
 def sum_over(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    na = a._node
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        na.accumulate(np.broadcast_to(g, na.shape))
 
-    return _result(data, (a,), backward)
+    return _result(a.data.sum(axis=axis, keepdims=keepdims), (na,), backward)
 
 
 def mean_over(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -276,26 +318,26 @@ def softmax_last(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            inner = (g * data).sum(axis=-1, keepdims=True)
-            a._accumulate(data * (g - inner))
+        inner = (g * data).sum(axis=-1, keepdims=True)
+        na.accumulate(data * (g - inner))
 
-    return _result(data, (a,), backward)
+    return _result(data, (na,), backward)
 
 
 def elu(a: Tensor) -> Tensor:
     positive = a.data > 0
     # expm1 only sees the negative branch; where() would evaluate it everywhere.
     data = np.where(positive, a.data, np.expm1(np.minimum(a.data, 0.0)))
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            # For x <= 0 the derivative exp(x) equals elu(x) + 1.
-            a._accumulate(g * np.where(positive, 1.0, data + 1.0))
+        # For x <= 0 the derivative exp(x) equals elu(x) + 1.
+        na.accumulate(g * np.where(positive, 1.0, data + 1.0))
 
-    return _result(data, (a,), backward)
+    return _result(data, (na,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -305,12 +347,12 @@ def sigmoid(a: Tensor) -> Tensor:
     data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     data[~pos] = ex / (1.0 + ex)
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * data * (1.0 - data))
+        na.accumulate(g * data * (1.0 - data))
 
-    return _result(data, (a,), backward)
+    return _result(data, (na,), backward)
 
 
 def normalize_last(a: Tensor, eps: float = 1e-8) -> Tensor:
@@ -320,30 +362,29 @@ def normalize_last(a: Tensor, eps: float = 1e-8) -> Tensor:
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     data = centered * inv
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            g_mean = g.mean(axis=-1, keepdims=True)
-            proj = (g * data).mean(axis=-1, keepdims=True)
-            a._accumulate(inv * (g - g_mean - data * proj))
+        g_mean = g.mean(axis=-1, keepdims=True)
+        proj = (g * data).mean(axis=-1, keepdims=True)
+        na.accumulate(inv * (g - g_mean - data * proj))
 
-    return _result(data, (a,), backward)
+    return _result(data, (na,), backward)
 
 
 def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
     """Gather along axis 0; works as embedding lookup for 2-D indices."""
     index = np.asarray(index)
-    data = a.data[index]
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros(a.data.shape, dtype=a.data.dtype)
-            dst = index.reshape(-1).astype(np.intp)  # uint8 lookups would overflow
-            edges = np.arange(dst.size)
-            _add_rows_at(full.reshape(len(full), -1), dst, g.reshape(dst.size, -1), edges)
-            a._accumulate(full)
+        full = np.zeros(na.shape, dtype=na.dtype)
+        dst = index.reshape(-1).astype(np.intp)  # uint8 lookups would overflow
+        edges = np.arange(dst.size)
+        _add_rows_at(full.reshape(len(full), -1), dst, g.reshape(dst.size, -1), edges)
+        na.accumulate(full)
 
-    return _result(data, (a,), backward)
+    return _result(a.data[index], (na,), backward)
 
 
 def _add_rows_at(out, rows, source, index, weight=None) -> None:
@@ -378,14 +419,14 @@ def neighbor_sum(a: Tensor, dst, src, n_out: int | None = None, weight=None) -> 
     n_out = a.data.shape[0] if n_out is None else n_out
     data = np.zeros((n_out, a.data.shape[1]), dtype=a.data.dtype)
     _add_rows_at(data, dst, a.data, src, weight)
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros(a.data.shape, dtype=a.data.dtype)
-            _add_rows_at(full, src, g, dst, weight)
-            a._accumulate(full)
+        full = np.zeros(na.shape, dtype=na.dtype)
+        _add_rows_at(full, src, g, dst, weight)
+        na.accumulate(full)
 
-    return _result(data, (a,), backward)
+    return _result(data, (na,), backward)
 
 
 def map_rows(fn, n_rows: int, bytes_per_row: int, inputs: dict[str, Tensor]) -> Tensor:
@@ -400,42 +441,47 @@ def map_rows(fn, n_rows: int, bytes_per_row: int, inputs: dict[str, Tensor]) -> 
     the block outputs concatenated along axis 0.
 
     When no input requires a gradient the result is a constant and nothing
-    is kept. Otherwise each block's graph is kept until backward, which maps
-    the same blocks again: each block seeds its output with its rows of the
-    incoming gradient, runs its own backward and then drops its graph, and
-    its input gradients are added into ``inputs`` as soon as it and every
-    block before it are done, from where the outer backward carries them on.
-    The sum is therefore in block order and does not depend on the worker
-    count, but it differs in the last bits from one backward over all rows.
-    The graphs of all blocks are alive together between forward and
-    backward, so a differentiable call's forward memory is still that of one
-    graph over every row (O(rows * N^2) for the residue encoder,
-    O(rows * M) per head for protein attention); backward drops each
-    block's graph as it goes and holds the input gradients of at most 2W
-    blocks at once, each as large as its input. The blocks bound the memory
-    of a call without gradients.
+    is kept. Otherwise each block's output node and input-handle nodes are
+    kept until backward, which maps the same blocks again: each block seeds
+    its output node with its rows of the incoming gradient, runs its own
+    backward and then drops its graph, and its input gradients are added
+    into ``inputs`` as soon as it and every block before it are done, from
+    where the outer backward carries them on. The sum is therefore in block
+    order and does not depend on the worker count, but it differs in the
+    last bits from one backward over all rows. Between forward and backward
+    a block holds only the arrays its ops saved for backward, not its
+    intermediates or its output, whose rows live on in the joined output.
+    Those saved arrays still cover every row (each head's softmax,
+    O(rows * N^2) for the residue encoder and O(rows * M) for protein
+    attention); backward drops each block's graph as it goes and holds the
+    input gradients of at most 2W blocks at once, each as large as its
+    input. The blocks bound the memory of a call without gradients.
     """
 
     def forward_block(lo, hi):
         own = {name: Tensor(t.data, t.requires_grad) for name, t in inputs.items()}
-        return lo, fn(lo, hi, own), own
+        out = fn(lo, hi, own)
+        return lo, out, {name: t._node for name, t in own.items() if t._node is not None}
 
     blocks = map_blocks(forward_block, n_rows, bytes_per_row)
     data = np.concatenate([out.data for _, out, _ in blocks])
-    if not any(t.requires_grad for t in inputs.values()):
+    nodes = {name: t._node for name, t in inputs.items() if t._node is not None}
+    if not nodes:
         return constant(data)
-    graphs = {lo: (out, own) for lo, out, own in blocks}
+    # Only the nodes: each block's output array lives on in ``data`` alone.
+    graphs = {lo: (out._node, own) for lo, out, own in blocks}
 
     def backward(g):
         def backward_block(lo, hi):
             out, own = graphs.pop(lo)
-            out.backward(g[lo:hi])
-            return {name: t.grad for name, t in own.items() if t.grad is not None}
+            if out is not None:
+                _backprop(out, g[lo:hi])
+            return {name: node.grad for name, node in own.items() if node.grad is not None}
 
         def add(block_grads):
             for name, block_grad in block_grads.items():
-                inputs[name]._accumulate(block_grad)
+                nodes[name].accumulate(block_grad)
 
         map_blocks(backward_block, n_rows, bytes_per_row, consume=add)
 
-    return _result(data, tuple(inputs.values()), backward)
+    return _result(data, tuple(nodes.values()), backward)

@@ -8,8 +8,9 @@ protein-level attention variant, which asks for a subset of query rows and
 passes a bilinear logit bias as its two factors, so no M x M bias is formed.
 Its query rows run in ``autodiff.map_rows`` blocks, charged ``LOGIT_BYTES``
 per attention logit, in training as in inference: without gradients no
-M x M attention matrix is formed, and with them each block's backward frees
-that block's graph.
+M x M attention matrix is formed, and with them each block keeps only each
+head's softmax and the other arrays its backward reads until its backward,
+which then frees them.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import numpy as np
 from . import autodiff as ad
 
 LAYERNORM_EPS = 1e-8
-# Row-block bytes charged per attention logit: the logits, their softmax
-# and, in training, the graph and gradients kept around them.
+# Row-block bytes charged per attention logit: the logits, their scaled
+# and biased copies and their softmax while a block runs and, in training,
+# the gradients around them in its backward. Between forward and backward a
+# block keeps only the softmax.
 LOGIT_BYTES = 64
 
 class NumericsError(FloatingPointError):
@@ -54,10 +57,11 @@ def attention_layer(
     gradients; each block reads x, the layer's weights, each head's keys and
     values and the bias factors through its own handles. Without gradients
     memory is O(W * block * M + M * d) for W workers. With gradients every
-    block keeps its graph until backward, so the forward still holds the
-    logits of all query rows; backward runs per block and frees each block's
-    graph, which lowers the step's peak. A 3-D ``x`` (the residue stack,
-    which runs inside the encode blocks) is processed in one call.
+    block keeps the arrays its backward reads until backward, so the forward
+    still holds each head's softmax over all query rows, though not the raw,
+    scaled or biased logits; backward runs per block and frees each block's
+    arrays. A 3-D ``x`` (the residue stack, which runs inside the encode
+    blocks) is processed in one call.
     """
     d = x.shape[-1]
     scale = 1.0 / math.sqrt(d)

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, as the CLI sets it, so tests run numpy's products the way
+# the CLI and the benchmark do. An explicit setting wins. This must land
+# before numpy binds its BLAS thread pool, so before the package is imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest

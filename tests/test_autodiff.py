@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ class TestMapRows:
     def test_without_gradients_keeps_nothing(self):
         rng = np.random.default_rng(7)
         out = self.rows_times_w([ad.constant(rng.standard_normal(s)) for s in ((5, 3), (3, 4))])
-        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert not out.requires_grad and out._node is None
 
 
 class TestSoftmaxAndNorm:
@@ -313,15 +314,34 @@ class TestGraphMechanics:
 
         loss, leaves = build()
         loss.backward()
-        assert all(n.grad is None for n in ad._toposort(loss) if n._backward is not None)
+        assert all(n.grad is None for n in ad._toposort(loss._node) if n.backward is not None)
         # Reference: the same reverse walk, keeping every node's gradient.
         ref_loss, ref_leaves = build()
-        ref_loss.grad = np.ones_like(ref_loss.data)
-        for node in reversed(ad._toposort(ref_loss)):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        ref_loss._node.grad = np.ones_like(ref_loss.data)
+        for node in reversed(ad._toposort(ref_loss._node)):
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad)
         for leaf, ref in zip(leaves, ref_leaves):
             assert leaf.grad.tobytes() == ref.grad.tobytes()
+
+    def test_forward_keeps_only_what_backward_reads(self):
+        rng = np.random.default_rng(8)
+        x = ad.constant(rng.standard_normal((1024, 64)))
+        w = ad.Tensor(rng.standard_normal((64, 512)), requires_grad=True)
+        b = ad.constant(rng.standard_normal(512))
+        tracemalloc.start()
+        try:
+            out = ad.softmax_last(ad.add(ad.mul(ad.matmul(x, w), 0.5), b))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Of the four 4 MB arrays the forward makes, only the softmax is kept:
+        # it is both the output and what the softmax backward reads. The
+        # matmul keeps x, made before tracing; mul keeps its scalar.
+        assert out.data.nbytes == 4 * 2**20
+        assert held < 1.5 * out.data.nbytes
+        out.backward(np.ones(out.shape))
+        assert w.grad.shape == (64, 512) and np.all(np.isfinite(w.grad))
 
     def test_constants_get_no_grad(self):
         c = ad.constant(np.ones(3))

@@ -364,7 +364,7 @@ class TestEvolformerMemory:
 
     def test_training_step_last_layer_attends_from_the_batch(self):
         # Before the last layer attended only from the batch, this step
-        # peaked at about 440 MB.
+        # peaked at about 440 MB; it now peaks at 17 MB traced.
         fam = paper_scale_family(2048, n=8)
         config = ModelConfig(variant="evolformer", d=8, heads=1, l_r=1, l_p=1)
         params = init_params(config, fam.n, seed=0)
@@ -385,10 +385,12 @@ class TestEvolformerMemory:
     )
     def test_training_step_backpropagates_query_blocks_one_at_a_time(self, m, d, heads, bound):
         # The first of two layers attends from all M rows, in blocks of
-        # 65,536 // M query rows whose graphs are all alive after the
-        # forward; backward frees each block's graph in turn. With one graph
-        # over all M query rows these steps peaked at 366 MB and 342 MB
-        # traced; with the blocks, 234 MB and 295 MB.
+        # 65,536 // M query rows. After the forward each block holds only
+        # the arrays its backward reads, each head's M-wide softmax among
+        # them, and backward frees each block's in turn. With one graph over
+        # all M query rows these steps peaked at 366 MB and 342 MB traced;
+        # with the blocks, 234 MB and 295 MB; with every op keeping only
+        # what its backward reads, 53 MB and 223 MB.
         spec = LandscapeSpec(n=8, m=m, max_mutations=4, additive=np.zeros((8, 20)), seed=0)
         fam = synth_family(spec)
         config = ModelConfig(variant="evolformer", d=d, heads=heads, l_r=1, l_p=2)
@@ -403,6 +405,30 @@ class TestEvolformerMemory:
         grads, peak = traced_peak(step)
         assert peak < bound
         assert "evo0.h0.wq" in grads and all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+class TestEvolmpnnMemory:
+    @pytest.mark.usefixtures("fixed_workers")
+    def test_default_width_training_step(self):
+        # The step keeps only the arrays backward reads: 266 MB traced,
+        # growing by about 1 MB per pool protein. While every op's output
+        # stayed alive until backward, it peaked at 521 MB.
+        fam = paper_scale_family(8192)
+        config = ModelConfig(variant="evolmpnn")
+        assert (config.d, config.heads, config.l_r, config.l_p) == (128, 4, 2, 2)
+        params = init_params(config, fam.n, seed=0)
+        batch = list(range(32))
+
+        def step():
+            fg = build_forward(
+                fam, params, config, rows=batch, train_ids=fam.ids[:256], anchor_draw=1
+            )
+            mse_loss(fg.y_hat, fam.targets[batch]).backward()
+            return fg.grads()
+
+        grads, peak = traced_peak(step)
+        assert peak < 350e6
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 class TestSidecarModes:
@@ -493,7 +519,7 @@ class TestGradientFreeInference:
 
         inference = build_forward(fam, params, config, grad=False, **kw)
         assert not inference.y_hat.requires_grad
-        assert inference.y_hat._parents == () and inference.y_hat._backward is None
+        assert inference.y_hat._node is None
         assert inference.grads() == {}
 
 
