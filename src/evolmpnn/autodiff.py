@@ -107,22 +107,14 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def backward(self, grad=None) -> None:
-        """Accumulate d(self)/d(leaf), seeded with ``grad`` (default 1 for a
-        scalar output), into each leaf's ``grad``; an interior node's
-        gradient is freed once its backward has run."""
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError("backward() requires a scalar output or a seed gradient")
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.array(grad, dtype=self.data.dtype)
-            if grad.shape != self.data.shape:
-                raise ValueError(
-                    f"seed gradient {grad.shape} does not match output {self.data.shape}"
-                )
+    def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) of this scalar into each leaf's
+        ``grad``; an interior node's gradient is freed once its backward has
+        run."""
+        if self.data.size != 1:
+            raise ValueError("backward() requires a scalar output")
         if self._node is not None:
-            _backprop(self._node, grad)
+            _backprop(self._node, np.ones_like(self.data))
 
 
 def _backprop(root: _Node, grad: np.ndarray) -> None:
@@ -466,8 +458,6 @@ def map_rows(fn, n_rows: int, bytes_per_row: int, inputs: dict[str, Tensor]) -> 
     blocks = map_blocks(forward_block, n_rows, bytes_per_row)
     data = np.concatenate([out.data for _, out, _ in blocks])
     nodes = {name: t._node for name, t in inputs.items() if t._node is not None}
-    if not nodes:
-        return constant(data)
     # Only the nodes: each block's output array lives on in ``data`` alone.
     graphs = {lo: (out._node, own) for lo, out, own in blocks}
 

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    _is_int,
     decode_json,
     knn_graph,
     load_family,
@@ -204,7 +205,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return _is_int(value) and value >= 0
 
 
 _ENTRY_FIELDS = {

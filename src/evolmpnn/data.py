@@ -3,8 +3,9 @@
 All operations are pure given their inputs and a seed, so shared Family
 values are safe to read from multiple threads. The one row-block layer of
 the package lives here too: one byte budget, and ``map_blocks``, which
-sizes the blocks of every blocked loop and runs them on up to one worker
-per CPU the process may use: the calling thread and the threads of a pool.
+sizes the blocks of every blocked loop and runs them through one ordered
+worker loop on up to one worker per CPU the process may use: the calling
+thread alone, or with the threads of a pool.
 """
 
 from __future__ import annotations
@@ -429,14 +430,16 @@ if hasattr(os, "sched_getaffinity"):
 else:
     _workers = os.cpu_count() or 1
 _POOL = ThreadPoolExecutor(_workers - 1, thread_name_prefix="evolmpnn") if _workers > 1 else None
-_in_pool = threading.local()
+# ``active`` while this thread runs blocks: a loop started from a block runs
+# serially, so no block waits on pool threads that may all be held by blocks.
+_in_block = threading.local()
 
-# A loop of B blocks runs on min(W, B // _MIN_BLOCKS_PER_WORKER) workers, so
-# each worker has blocks to spare when another is slowed (by the GIL, or by
-# a host that takes its CPU away). On a 2-CPU host a training step's encode
-# loop of 390 proteins (7 blocks) gained 1.0-1.3x from a second thread, and
-# its train rate varied 2-5 times more across runs than on one thread;
-# loops of 16 or more blocks gained 1.3-2x.
+# A loop of B blocks runs on max(1, min(W, B // _MIN_BLOCKS_PER_WORKER))
+# workers, so each worker has blocks to spare when another is slowed (by the
+# GIL, or by a host that takes its CPU away). On a 2-CPU host a training
+# step's encode loop of 390 proteins (7 blocks) gained 1.0-1.3x from a second
+# thread, and its train rate varied 2-5 times more across runs than on one
+# thread; loops of 16 or more blocks gained 1.3-2x.
 _MIN_BLOCKS_PER_WORKER = 4
 
 
@@ -448,72 +451,68 @@ def map_blocks(fn, n_rows: int, bytes_per_row: int, consume=None) -> list | None
     there is always at least one: with no rows it is ``fn(0, 0)``. Every
     ``fn(lo, hi)`` must depend only on its own block and write nothing
     another block reads, so the results do not depend on the worker count.
-    A loop of B blocks has min(W, B // _MIN_BLOCKS_PER_WORKER) workers:
-    this thread, which starts on the first block at once, and pool threads;
-    each worker takes the next block that no one has taken, so a pool
-    thread that wakes late only takes fewer blocks. With one worker, or when
-    called from a block (so nested use cannot deadlock), the calls run
-    serially in this thread. The exception of the first failing block, in
-    order, reaches the caller unchanged once the blocks in flight have
-    finished; every block before it has run, and no block after it starts.
+    A loop of B blocks has max(1, min(W, B // _MIN_BLOCKS_PER_WORKER))
+    workers: this thread, which starts on the first block at once, and pool
+    threads. Every worker runs the same loop, taking the next block that no
+    one has taken, so a pool thread that wakes late only takes fewer blocks;
+    with one worker this thread runs that loop alone. A loop started from a
+    block runs serially in that block's thread, so blocks never start pool
+    work and nested use cannot deadlock. The exception of the first failing
+    block, in order, reaches the caller unchanged once the blocks in flight
+    have finished; every block before it has run, and no block after it
+    starts.
 
-    With ``consume``, nothing is returned: each result is passed to
-    ``consume(result)`` in block order, one call at a time, as soon as its
-    block and every block before it have finished, and then dropped. No
-    worker starts a block 2W or more blocks past the first one not yet
-    consumed, so at most 2W results wait at once.
+    Each result is delivered in block order, one at a time, as soon as its
+    block and every block before it have finished: appended to the returned
+    list or, with ``consume``, passed to ``consume(result)`` and dropped, in
+    which case nothing is returned. With ``consume`` no worker starts a
+    block 2W or more blocks past the first one not yet consumed, so at most
+    2W results wait at once.
     """
     step = _block_rows(bytes_per_row)
     bounds = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)] or [(0, 0)]
     workers = 1
-    if _POOL is not None and not getattr(_in_pool, "active", False):
-        workers = min(_POOL._max_workers + 1, len(bounds) // _MIN_BLOCKS_PER_WORKER)
-    if workers < 2:
-        if consume is None:
-            return [fn(lo, hi) for lo, hi in bounds]
-        for lo, hi in bounds:
-            consume(fn(lo, hi))
-        return None
-    results = [None] * len(bounds)
-    finished = {}  # with ``consume``: results not yet consumed, by block
+    if _POOL is not None and not getattr(_in_block, "active", False):
+        workers = max(1, min(_POOL._max_workers + 1, len(bounds) // _MIN_BLOCKS_PER_WORKER))
+    results = [] if consume is None else None
+    deliver = results.append if consume is None else consume
+    finished = {}  # results not yet delivered, by block
     failures = {}
-    consumed = 0
-    # Guards the three above; wakes workers that wait for ``consumed``.
+    delivered = 0
+    # Guards the three above; wakes workers that wait for ``delivered``.
     state = threading.Condition()
     # next() on a count is atomic, so each block index is taken exactly once.
     taken = itertools.count()
 
     def far_ahead(i):
-        return consume is not None and i < len(bounds) and i - consumed >= 2 * workers
+        return consume is not None and i < len(bounds) and i - delivered >= 2 * workers
 
     def take_blocks():
-        nonlocal consumed
-        _in_pool.active = True
+        nonlocal delivered
+        outer = getattr(_in_block, "active", False)
+        _in_block.active = True
         try:
             for i in taken:
                 with state:
-                    # The worker on block ``consumed`` never waits here.
+                    # The worker on block ``delivered`` never waits here.
                     state.wait_for(lambda: failures or not far_ahead(i))
                     if i >= len(bounds) or any(j < i for j in failures):
                         return
                 try:
                     result = fn(*bounds[i])
                     with state:
-                        if consume is None:
-                            results[i] = result
-                        else:
-                            finished[i] = result
-                            while consumed in finished:
-                                consume(finished.pop(consumed))
-                                consumed += 1
-                            state.notify_all()
+                        finished[i] = result
+                        while delivered in finished:
+                            deliver(finished.pop(delivered))
+                            delivered += 1
+                        state.notify_all()
                 except BaseException as err:
                     with state:
                         failures[i] = err
                         state.notify_all()
                     return
         finally:
-            _in_pool.active = False
+            _in_block.active = outer
 
     helpers = [_POOL.submit(take_blocks) for _ in range(workers - 1)]
     try:
@@ -525,7 +524,7 @@ def map_blocks(fn, n_rows: int, bytes_per_row: int, consume=None) -> list | None
         wait(helpers)
     if failures:
         raise failures[min(failures)]
-    return results if consume is None else None
+    return results
 
 
 def _hamming_rows(encoded: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -33,7 +33,6 @@ members, and evolgnn each node's neighbours, with the one edge-list op
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +60,21 @@ class AnchorSet:
             raise ValueError("anchor sets must be non-empty")
 
 
+def _log2_ceil(m: int) -> int:
+    """ceil(log2(m)) for an integer m >= 1, in exact integer arithmetic."""
+    return (m - 1).bit_length()
+
+
 def anchor_count(m_train: int) -> int:
     """Number of anchor sets for a training pool of size m_train."""
     if m_train < 1:
         raise ValueError("need at least one training protein")
-    log_m = math.ceil(math.log2(m_train)) if m_train > 1 else 0
-    return max(1, log_m * log_m)
+    return max(1, _log2_ceil(m_train) ** 2)
 
 
 def _inclusion_exponent(j: int, m_train: int) -> int:
     """Exponent e with inclusion probability 2^-e for set j (1-based)."""
-    cycle = max(1, math.ceil(math.log2(m_train)) if m_train > 1 else 0)
-    return 1 + (j - 1) % cycle
+    return 1 + (j - 1) % max(1, _log2_ceil(m_train))
 
 
 def inclusion_probability(j: int, m_train: int) -> float:
@@ -224,11 +226,11 @@ def evolformer_layer(
     """Protein-level attention with a bilinear residue-summary logit bias.
 
     The bias between proteins i and j is ``p_i . p_j / sqrt(d)`` with
-    ``p = r_bar @ bias_proj``; it is passed to the attention layer as its
-    factors, so no M x M bias is formed. ``rows`` selects the query rows
-    to output (default: all), and only those rows attend.
+    ``p = r_bar @ bias_proj`` and d the width of ``h``; the attention layer
+    takes p and scales the bias as it scales its logits, so no M x M bias is
+    formed. ``rows`` selects the query rows to output (default: all), and
+    only those rows attend.
     """
-    d = h.shape[-1]
     projected = ad.matmul(r_bar, params[f"{prefix}.bias_proj"])
     return attention_layer(
         h,
@@ -236,6 +238,6 @@ def evolformer_layer(
         prefix,
         n_heads,
         rows=rows,
-        bias_factors=(projected, projected, 1.0 / math.sqrt(d)),
+        bias=projected,
         label=f"evolution layer {prefix}",
     )

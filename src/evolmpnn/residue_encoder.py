@@ -5,12 +5,12 @@ embedding width, not the head width), adds the attended values back through
 a residual, applies an ELU feed-forward block, and finishes with one
 LayerNorm over the whole layer. The same layer implementation serves the
 protein-level attention variant, which asks for a subset of query rows and
-passes a bilinear logit bias as its two factors, so no M x M bias is formed.
-Its query rows run in ``autodiff.map_rows`` blocks, charged ``LOGIT_BYTES``
-per attention logit, in training as in inference: without gradients no
-M x M attention matrix is formed, and with them each block keeps only each
-head's softmax and the other arrays its backward reads until its backward,
-which then frees them.
+passes the factor p of a bilinear logit bias p p^T / sqrt(d), so no M x M
+bias is formed. Its query rows run in ``autodiff.map_rows`` blocks, charged
+``LOGIT_BYTES`` per attention logit, in training as in inference: without
+gradients no M x M attention matrix is formed, and with them each block
+keeps only each head's softmax and the other arrays its backward reads until
+its backward, which then frees them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def attention_layer(
     n_heads: int,
     *,
     rows=None,
-    bias_factors: tuple[ad.Tensor, ad.Tensor, float] | None = None,
+    bias: ad.Tensor | None = None,
     label: str = "residue layer",
 ) -> ad.Tensor:
     """One attention + feed-forward + LayerNorm block over the last two axes.
@@ -47,15 +47,15 @@ def attention_layer(
     ``x`` is (..., N, d); any leading batch axes are carried through, and
     the output has x's shape. For a 2-D ``x`` of M rows, ``rows`` picks the
     query rows to output, in order and possibly repeated (default: all M),
-    and ``bias_factors = (left, right, scale)`` adds
-    ``left[rows] @ right.T * scale`` to every head's logits.
+    and ``bias = p``, an (M, k) tensor, adds ``p[rows] @ p.T / sqrt(d)`` to
+    every head's logits, scaled as they are.
 
     Each head's keys and values are computed once over all M rows; queries,
     logits, softmax, residual, feed-forward and LayerNorm run only for the
     query rows. A 2-D ``x`` maps its query rows through ``autodiff.map_rows``
     in blocks of 65,536 // M rows on the worker pool, with or without
     gradients; each block reads x, the layer's weights, each head's keys and
-    values and the bias factors through its own handles. Without gradients
+    values and the bias through its own handles. Without gradients
     memory is O(W * block * M + M * d) for W workers. With gradients every
     block keeps the arrays its backward reads until backward, so the forward
     still holds each head's softmax over all query rows, though not the raw,
@@ -71,22 +71,22 @@ def attention_layer(
         inputs[f"keys{h}"] = ad.transpose_last(ad.matmul(x, params[f"{prefix}.h{h}.wk"]))
         v = ad.matmul(ad.matmul(x, params[f"{prefix}.h{h}.wv"]), params[f"{prefix}.h{h}.wo"])
         inputs[f"values{h}"] = v
-    if bias_factors is not None:
-        inputs.update(left=bias_factors[0], right_t=ad.transpose_last(bias_factors[1]))
+    if bias is not None:
+        inputs.update(left=bias, right_t=ad.transpose_last(bias))
 
     def attend(index, t: dict[str, ad.Tensor]) -> ad.Tensor:
         """Output rows ``index`` (None: every row of x), read from ``t``."""
         xq = t["x"] if index is None else ad.take_rows(t["x"], index)
-        bias = None
-        if bias_factors is not None:
+        logit_bias = None
+        if bias is not None:
             left = t["left"] if index is None else ad.take_rows(t["left"], index)
-            bias = ad.mul(ad.matmul(left, t["right_t"]), bias_factors[2])
+            logit_bias = ad.mul(ad.matmul(left, t["right_t"]), scale)
         attended = None
         for h in range(n_heads):
             q = ad.matmul(xq, t[f"{prefix}.h{h}.wq"])
             logits = ad.mul(ad.matmul(q, t[f"keys{h}"]), scale)
-            if bias is not None:
-                logits = ad.add(logits, bias)
+            if logit_bias is not None:
+                logits = ad.add(logits, logit_bias)
             if not np.all(np.isfinite(logits.data)):
                 raise NumericsError(f"non-finite attention logits in {label}, head {h}")
             head = ad.matmul(ad.softmax_last(logits), t[f"values{h}"])

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
-# One BLAS thread, as the CLI sets it, so tests run numpy's products the way
-# the CLI and the benchmark do. An explicit setting wins. This must land
-# before numpy binds its BLAS thread pool, so before the package is imported.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# First, so numpy binds its BLAS thread pool after the CLI module has pinned
+# it to one thread (an explicit setting wins): tests run numpy's products the
+# way the CLI and the benchmark do.
+import evolmpnn.cli  # noqa: F401
 
 from concurrent.futures import ThreadPoolExecutor
 

@@ -74,6 +74,17 @@ def two_workers(monkeypatch, fixed_workers):
     return started
 
 
+@pytest.fixture(params=["serial", "pooled"])
+def workers(request, monkeypatch):
+    """Every blocked loop run on one worker, with no pool, or on the two of
+    ``two_workers``; gives that count and the list of the pool thread's
+    turns that started."""
+    if request.param == "serial":
+        monkeypatch.setattr(data, "_POOL", None)
+        return 1, []
+    return 2, request.getfixturevalue("two_workers")
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Blocks of a few rows, so every blocked loop below has several: 5
@@ -105,9 +116,11 @@ def serial_and_pooled(monkeypatch, submitted, fn):
 
 
 class TestMapBlocks:
-    def test_blocks_cover_the_rows_in_order(self, two_workers):
-        # The first two blocks wait for each other, so both workers take one.
-        meet = threading.Barrier(2, timeout=10)
+    def test_blocks_cover_the_rows_in_order(self, workers):
+        # With two workers the first two blocks wait for each other, so both
+        # workers take one.
+        count, started = workers
+        meet = threading.Barrier(count, timeout=10)
 
         def fn(lo, hi):
             if lo < 6:
@@ -118,8 +131,8 @@ class TestMapBlocks:
         assert [(lo, hi) for lo, hi, _ in blocks] == [
             (lo, min(lo + 3, 40)) for lo in range(0, 40, 3)
         ]
-        assert len({name for _, _, name in blocks}) == 2
-        assert len(two_workers) == 1
+        assert len({name for _, _, name in blocks}) == count
+        assert len(started) == count - 1
 
     def test_no_rows_run_one_empty_block(self, two_workers):
         assert data.map_blocks(lambda lo, hi: (lo, hi), 0, 1) == [(0, 0)]
@@ -170,7 +183,26 @@ class TestMapBlocks:
         assert sum(block.pop().startswith("ThreadPoolExecutor") for block in names) == 1
         assert len(two_workers) == 1
 
-    def test_block_exception_reaches_the_caller_unchanged(self, two_workers):
+    def test_loop_in_a_serial_loops_block_runs_in_that_thread(self, two_workers):
+        # The outer loop has one block, so it runs on one worker; the inner
+        # loop's three blocks would get both workers were it not nested.
+        one_row = data._BLOCK_BYTES
+
+        def outer(lo, hi):
+            inner = data.map_blocks(lambda lo, hi: threading.current_thread().name, 3, one_row)
+            return threading.current_thread().name, inner
+
+        def run():
+            [(name, inner)] = data.map_blocks(outer, 1, one_row)
+            return name, inner, getattr(data._in_block, "active", False)
+
+        name, inner, still_nested = within(10, run)
+        assert inner == [name] * 3
+        assert two_workers == []
+        assert not still_nested
+
+    def test_block_exception_reaches_the_caller_unchanged(self, workers):
+        count, started = workers
         raised = NumericsError("non-finite output in block 2")
 
         def fn(lo, hi):
@@ -179,29 +211,34 @@ class TestMapBlocks:
             return lo
 
         assert within(10, lambda: data.map_blocks(fn, 5, data._BLOCK_BYTES)) is raised
+        assert len(started) == count - 1
 
-    def test_consume_takes_results_in_block_order_and_few_at_once(self, two_workers):
-        # While block 0 runs, the other worker finishes blocks 1-3 but does
-        # not start block 4, 2W blocks past the first one not consumed.
+    def test_consume_takes_results_in_block_order_and_few_at_once(self, workers):
+        # While block 0 runs, a second worker finishes blocks 1-3 but does
+        # not start block 4, 2W blocks past the first one not consumed; on
+        # one worker no other block starts.
+        count, pool_turns = workers
+        expected = {1: 1, 2: 4}[count]
         started, consumed, seen = [], [], []
 
         def fn(lo, hi):
             started.append(lo)
             if lo == 0:
                 deadline = time.monotonic() + 5
-                while len(started) < 4 and time.monotonic() < deadline:
+                while len(started) < expected and time.monotonic() < deadline:
                     time.sleep(0.01)
-                time.sleep(0.1)  # time for a fifth block to start, were it allowed
+                time.sleep(0.1)  # time for one more block to start, were it allowed
                 seen.append(len(started))
             return lo
 
         one_row = data._BLOCK_BYTES
         assert within(10, lambda: data.map_blocks(fn, 40, one_row, consume=consumed.append)) is None
-        assert seen == [4]
+        assert seen == [expected]
         assert consumed == list(range(40))
-        assert len(two_workers) == 1
+        assert len(pool_turns) == count - 1
 
-    def test_consume_stops_at_the_first_failing_block(self, two_workers):
+    def test_consume_stops_at_the_first_failing_block(self, workers):
+        count, started = workers
         raised = NumericsError("non-finite output in block 5")
 
         def fn(lo, hi):
@@ -213,6 +250,7 @@ class TestMapBlocks:
         run = lambda: data.map_blocks(fn, 20, data._BLOCK_BYTES, consume=consumed.append)  # noqa: E731
         assert within(10, run) is raised
         assert consumed == list(range(5))
+        assert len(started) == count - 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_validation_divergence_in_a_worker_is_a_training_error(
