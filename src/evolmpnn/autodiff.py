@@ -290,20 +290,20 @@ def _slice_last(a: Tensor, lo: int, hi: int) -> Tensor:
     return _result(np.ascontiguousarray(a.data[..., lo:hi]), (na,), backward)
 
 
-def sum_over(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def sum_over(a: Tensor, axis=None) -> Tensor:
     na = a._node
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         na.accumulate(np.broadcast_to(g, na.shape))
 
-    return _result(a.data.sum(axis=axis, keepdims=keepdims), (na,), backward)
+    return _result(a.data.sum(axis=axis), (na,), backward)
 
 
-def mean_over(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean_over(a: Tensor, axis=None) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_over(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(sum_over(a, axis=axis), 1.0 / count)
 
 
 def softmax_last(a: Tensor) -> Tensor:

@@ -225,6 +225,8 @@ def load_family(path) -> Family:
                 raise FamilyError(
                     f"{path}: non-numeric target {target_text!r} at row {row_no}"
                 ) from None
+            if not math.isfinite(target):
+                raise FamilyError(f"{path}: non-finite target {target_text!r} at row {row_no}")
             if wt_text not in ("0", "1"):
                 raise FamilyError(
                     f"{path}: is_wild_type must be 0 or 1 at row {row_no}"
@@ -237,6 +239,8 @@ def load_family(path) -> Family:
         raise FamilyError(f"{path}: no wild-type row")
     if wt_count > 1:
         raise FamilyError(f"{path}: {wt_count} wild-type rows, expected 1")
+    if len(records) < 2:
+        raise FamilyError(f"{path}: a family needs at least 2 records, got {len(records)}")
     return Family(records)
 
 

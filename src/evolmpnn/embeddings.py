@@ -1,10 +1,11 @@
-"""Initial protein- and residue-level embeddings, plus the sidecar loaders.
+"""The position table's initialization and the sidecar embedding files.
 
-Residues are embedded by a learned 20 x d projection of their indicator
-vector; positions modulate embeddings multiplicatively via a learned N x d
-table initialized near 1 so the input survives at initialization. Protein
-embeddings come either from a separate learned projection averaged over
-positions or from precomputed sidecar files.
+Positions modulate residue embeddings multiplicatively through a learned
+N x d table, initialized near 1 so the input survives at initialization;
+``model._encode_rows`` applies it. Sidecar files hold precomputed protein
+(M x d) or residue (M x N x d) embeddings keyed by record id, which
+``load_protein_sidecar`` and ``load_residue_sidecar`` align to a family's
+record order.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import struct
 
 import numpy as np
 
-from . import autodiff as ad
-from .data import ALPHABET, Family, _is_int, decode_json
+from .data import Family, _is_int, decode_json
 
 SIDECAR_MAGIC = b"EVSC"
 PHI_POS_INIT_MEAN = 1.0
@@ -32,56 +32,6 @@ def init_positional_table(n: int, d: int, rng: np.random.Generator) -> np.ndarra
     return rng.normal(PHI_POS_INIT_MEAN, PHI_POS_INIT_STD, size=(n, d))
 
 
-def onehot_residues(encoded: np.ndarray, projection: ad.Tensor) -> ad.Tensor:
-    """Project each residue's 20-dim indicator through a learned map.
-
-    ``encoded`` is a rows x N uint8 matrix of alphabet indices; returns a
-    rows x N x d tensor. Equal residues at any positions map to identical
-    vectors before positional encoding.
-    """
-    if projection.shape[0] != len(ALPHABET):
-        raise ValueError(
-            f"projection must have {len(ALPHABET)} rows, got {projection.shape[0]}"
-        )
-    return ad.take_rows(projection, encoded)
-
-
-def apply_positional(x: ad.Tensor, phi_pos: ad.Tensor) -> ad.Tensor:
-    """Elementwise product with the position table, broadcast over proteins."""
-    if x.shape[-2:] != phi_pos.shape:
-        raise ValueError(
-            f"positional table {phi_pos.shape} does not match residues {x.shape[-2:]}"
-        )
-    return ad.mul(x, phi_pos)
-
-
-def init_protein_embeddings(
-    encoded: np.ndarray,
-    mode: str,
-    projection: ad.Tensor | None = None,
-    precomputed: np.ndarray | None = None,
-) -> ad.Tensor:
-    """Initial rows x d protein embeddings for a rows x N encoded matrix.
-
-    ``onehot-mean`` averages a learned per-residue projection over positions;
-    ``sidecar`` uses a precomputed matrix with one row per encoded row.
-    """
-    if mode == "onehot-mean":
-        if projection is None:
-            raise ValueError("protein_mode=onehot-mean requires a projection")
-        return ad.mean_over(onehot_residues(encoded, projection), axis=1)
-    if mode == "sidecar":
-        if precomputed is None:
-            raise ValueError("protein_mode=sidecar requires protein features")
-        if precomputed.shape[0] != encoded.shape[0]:
-            raise SidecarError(
-                f"sidecar has {precomputed.shape[0]} rows, "
-                f"expected {encoded.shape[0]}"
-            )
-        return ad.constant(precomputed)
-    raise ValueError(f"unknown protein embedding mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Sidecar files: precomputed embeddings keyed by record id
 # ---------------------------------------------------------------------------
@@ -90,7 +40,8 @@ def init_protein_embeddings(
 # reserved), then per record a u16 id length, the UTF-8 id, and the float32
 # little-endian payload (dim floats for protein files, n*dim for residue
 # files). A JSON variant with base64 payloads (fields checked in
-# ``_read_sidecar_json``) is accepted interchangeably. Every id appears once.
+# ``_read_sidecar_json``) is accepted interchangeably. Every id appears once,
+# and a binary file ends with its last declared record.
 
 _HEADER = struct.Struct("<4sIII")
 _IDLEN = struct.Struct("<H")
@@ -146,7 +97,10 @@ def _read_sidecar_binary(path, values_per_record: int) -> tuple[dict[str, np.nda
             raise SidecarError(f"{path}: truncated at offset {offset}")
         (id_len,) = _IDLEN.unpack_from(raw, offset)
         offset += _IDLEN.size
-        rid = raw[offset : offset + id_len].decode("utf-8")
+        try:
+            rid = raw[offset : offset + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise SidecarError(f"{path}: id at offset {offset} is not valid UTF-8") from None
         offset += id_len
         if rid in table:
             raise SidecarError(f"{path}: repeated id {rid!r}")
@@ -160,6 +114,11 @@ def _read_sidecar_binary(path, values_per_record: int) -> tuple[dict[str, np.nda
             )
         table[rid] = row.astype(np.float32)
         offset += payload_bytes
+    if offset != len(raw):
+        raise SidecarError(
+            f"{path}: {len(raw) - offset} bytes after the last of {count} records, "
+            f"at offset {offset}"
+        )
     return table, dim
 
 

@@ -1,4 +1,4 @@
-"""End-to-end model assembly: forward pass, loss, and gradient verification.
+"""End-to-end model assembly: the forward pass and the loss.
 
 The forward pass initializes protein and residue embeddings, runs the
 residue attention stack, applies the configured evolution layers, and
@@ -39,18 +39,13 @@ M * d), and their outputs do not depend on W.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import ALPHABET, Family, Graph, _is_int, check_field_types, check_known_keys
-from .embeddings import (
-    apply_positional,
-    init_positional_table,
-    init_protein_embeddings,
-    onehot_residues,
-)
+from .embeddings import init_positional_table
 from .evolution import evolgnn_layer, evolformer_layer, evolmpnn_layer, sample_anchor_sets
 from .residue_encoder import LOGIT_BYTES, NumericsError, attention_layer
 
@@ -219,41 +214,46 @@ class ForwardGraph:
         }
 
 
+def _check_inputs(family: Family, params: ModelParams, config: ModelConfig) -> None:
+    """Reject a family that the parameters cannot encode, before any block runs."""
+    for kind, mode in (("residue", config.residue_mode), ("protein", config.protein_mode)):
+        feats = getattr(family, f"{kind}_feats")
+        if mode == "sidecar" and feats is None:
+            raise ValueError(f"{kind}_mode=sidecar requires {kind} features")
+        if mode == "sidecar" and feats.shape[-1] != config.d:
+            width = feats.shape[-1]
+            raise ValueError(f"family.{kind}_feats are {width} wide, expected d = {config.d}")
+    table, expected = params.tensors["phi_pos"].shape, (family.n, config.d)
+    if table != expected:
+        raise ValueError(f"positional table {table} does not match residues {expected}")
+
+
 def _encode_rows(
     family: Family, active: list[int], leaves: dict[str, ad.Tensor], config: ModelConfig
 ) -> tuple[ad.Tensor, ad.Tensor]:
     """Per-protein encoding of the ``active`` rows: (r_bar, h), each rows x d.
 
-    Residue embeddings are positionally modulated and run through the
-    attention stack, then mean-pooled; h is the initial protein embedding.
+    Residues are embedded (a learned 20 x d projection, or sidecar rows),
+    scaled by the position table, run through the attention stack and
+    mean-pooled into r_bar; h is a second projection averaged over
+    positions, or the protein sidecar rows. Inputs are checked beforehand.
     """
     dtype = config.np_dtype
     encoded = family.encoded[active]
-    feats = family.protein_feats
-    if config.protein_mode == "sidecar" and feats is not None and feats.shape[1] != config.d:
-        raise ValueError(f"family.protein_feats are {feats.shape[1]} wide, expected d = {config.d}")
     if config.residue_mode == "onehot":
-        x = onehot_residues(encoded, leaves["residue_embed"])
+        x = ad.take_rows(leaves["residue_embed"], encoded)
     else:
-        if family.residue_feats is None:
-            raise ValueError("residue_mode=sidecar requires residue features")
-        if family.residue_feats.shape[2] != config.d:
-            width = family.residue_feats.shape[2]
-            raise ValueError(f"family.residue_feats are {width} wide, expected d = {config.d}")
         x = ad.constant(family.residue_feats[active].astype(dtype, copy=False))
-    r = apply_positional(x, leaves["phi_pos"])
+    r = ad.mul(x, leaves["phi_pos"])
     for layer in range(config.l_r):
         r = attention_layer(
             r, leaves, f"res{layer}", config.heads, label=f"residue layer {layer}"
         )
     r_bar = ad.mean_over(r, axis=1)
-
-    h = init_protein_embeddings(
-        encoded,
-        config.protein_mode,
-        projection=leaves.get("protein_embed"),
-        precomputed=None if feats is None else feats[active].astype(dtype, copy=False),
-    )
+    if config.protein_mode == "onehot-mean":
+        h = ad.mean_over(ad.take_rows(leaves["protein_embed"], encoded), axis=1)
+    else:
+        h = ad.constant(family.protein_feats[active].astype(dtype, copy=False))
     return r_bar, h
 
 
@@ -311,6 +311,7 @@ def build_forward(
     ``config.resample_anchors`` off it is ignored. Sidecar features that the
     config reads must be ``config.d`` wide.
     """
+    _check_inputs(family, params, config)
     dtype = config.np_dtype
     leaves = {
         name: ad.Tensor(value.astype(dtype, copy=False), requires_grad=grad)
@@ -412,73 +413,3 @@ def mse_loss(y_hat: ad.Tensor, targets: np.ndarray) -> ad.Tensor:
         raise ValueError(f"shape mismatch: {y_hat.data.shape} vs {targets.shape}")
     diff = ad.sub(y_hat, ad.constant(targets[:, None]))
     return ad.mean_over(ad.mul(diff, diff))
-
-
-@dataclass
-class GradientCheckReport:
-    max_relative_error: float
-    per_tensor: dict[str, float]
-
-
-def gradient_check(
-    family: Family,
-    config: ModelConfig,
-    *,
-    seed: int = 0,
-    eps: float = 1e-5,
-    coords_per_tensor: int = 8,
-    train_ids=None,
-    graph: Graph | None = None,
-    only: list[str] | None = None,
-) -> GradientCheckReport:
-    """Compare analytic gradients with central finite differences.
-
-    Runs in double precision with a frozen anchor draw; samples
-    ``coords_per_tensor`` coordinates per tensor (all coordinates for
-    smaller tensors).
-    """
-    if config.dtype != "float64":
-        config = replace(config, dtype="float64")
-    params = init_params(config, family.n, seed)
-    targets = family.targets
-
-    def build_loss() -> tuple[ad.Tensor, ForwardGraph]:
-        fg = build_forward(
-            family,
-            params,
-            config,
-            train_ids=train_ids,
-            anchor_draw=0,
-            graph=graph,
-        )
-        return mse_loss(fg.y_hat, targets), fg
-
-    loss, fg = build_loss()
-    loss.backward()
-    analytic = fg.grads()
-
-    rng = np.random.default_rng(seed + 1)
-    per_tensor: dict[str, float] = {}
-    names = list(params.tensors) if only is None else [n for n in params.tensors if n in only]
-    for name in names:
-        tensor = params.tensors[name]
-        flat = tensor.reshape(-1)
-        n_coords = min(coords_per_tensor, flat.size)
-        coords = rng.choice(flat.size, size=n_coords, replace=False)
-        worst = 0.0
-        for c in coords:
-            original = flat[c]
-            flat[c] = original + eps
-            hi = float(build_loss()[0].data)
-            flat[c] = original - eps
-            lo = float(build_loss()[0].data)
-            flat[c] = original
-            numeric = (hi - lo) / (2 * eps)
-            exact = analytic[name].reshape(-1)[c]
-            denom = max(abs(exact), abs(numeric), 1e-8)
-            worst = max(worst, abs(exact - numeric) / denom)
-        per_tensor[name] = worst
-    return GradientCheckReport(
-        max_relative_error=max(per_tensor.values()) if per_tensor else 0.0,
-        per_tensor=per_tensor,
-    )

@@ -29,8 +29,9 @@ from evolmpnn.evaluation import (
     spearman,
 )
 from evolmpnn.evolution import anchor_count, inclusion_probability, sample_anchor_sets
-from evolmpnn.model import ModelConfig, gradient_check
+from evolmpnn.model import ModelConfig
 from evolmpnn.training import TrainConfig, train
+from gradcheck import gradient_check
 
 
 def check(criterion: str, ok: bool, detail: str) -> None:
@@ -77,6 +78,7 @@ class TestA1GradientCorrectness:
         check("A1", ok, detail)
 
 
+@pytest.mark.slow
 class TestA2OverfitCapacity:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_a2(self):
@@ -137,6 +139,7 @@ def epistatic_benchmark_family(lseed=11, n=32, m=512, max_mut=5, n_pairs=20):
     return synth_family(noisy)
 
 
+@pytest.mark.slow
 class TestA3MutationEffectSignal:
     def test_a3(self):
         started = time.perf_counter()

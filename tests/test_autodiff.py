@@ -105,9 +105,6 @@ class TestReductionsAndShape:
     def test_sum_all(self):
         check_op(lambda t: ad.sum_over(t[0]), 1, [(3, 4)])
 
-    def test_sum_axis_keepdims(self):
-        check_op(lambda t: ad.sum_over(t[0], axis=1, keepdims=True), 1, [(3, 4, 2)])
-
     def test_mean_axis(self):
         check_op(lambda t: ad.mean_over(t[0], axis=0), 1, [(6, 3)])
 

@@ -82,6 +82,17 @@ class TestLoadFamily:
         with pytest.raises(FamilyError, match="non-numeric target 'oops' at row 2"):
             load_family(p)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_target_reports_row(self, tmp_path, text):
+        p = write_csv(tmp_path / "f.csv", ["a,AC,1,1", f"b,AA,{text},0"])
+        with pytest.raises(FamilyError, match=f"f.csv: non-finite target '{text}' at row 2"):
+            load_family(p)
+
+    def test_single_record_names_the_file(self, tmp_path):
+        p = write_csv(tmp_path / "f.csv", ["a,AC,1,1"])
+        with pytest.raises(FamilyError, match="f.csv: a family needs at least 2 records, got 1"):
+            load_family(p)
+
     @pytest.mark.parametrize("flags,msg", [(("0", "0"), "no wild-type"), (("1", "1"), "2 wild-type")])
     def test_wild_type_count_enforced(self, tmp_path, flags, msg):
         p = write_csv(

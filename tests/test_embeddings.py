@@ -1,4 +1,4 @@
-"""Embedding initialization and the sidecar loader."""
+"""The encoder's embedding ops, the position table and the sidecar files."""
 
 from __future__ import annotations
 
@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 
 from evolmpnn import autodiff as ad
-from evolmpnn.data import ALPHABET, AA_INDEX, Family, ProteinRecord
+from evolmpnn import model
+from evolmpnn.data import AA_INDEX, Family, ProteinRecord
 from evolmpnn.embeddings import (
     SidecarError,
-    apply_positional,
     init_positional_table,
-    init_protein_embeddings,
     load_protein_sidecar,
     load_residue_sidecar,
-    onehot_residues,
     write_sidecar,
 )
+from evolmpnn.model import ModelConfig, forward, init_params
 
 
 def make_family(seqs):
@@ -44,15 +43,28 @@ def sidecar_doc(**changes):
     return {key: value for key, value in doc.items() if value is not None}
 
 
+def encode(fam, protein_embed=None, **config):
+    """``model._encode_rows`` over every row of ``fam`` with constant leaves,
+    d = 4 and, if given, the protein projection ``protein_embed``."""
+    config = ModelConfig(d=4, heads=2, l_r=1, l_p=1, **config)
+    tensors = init_params(config, fam.n, seed=0).tensors
+    if protein_embed is not None:
+        tensors["protein_embed"] = protein_embed
+    leaves = {name: ad.constant(value) for name, value in tensors.items()}
+    return model._encode_rows(fam, np.arange(fam.m), leaves, config)
+
+
 class TestOnehotResidues:
+    """The residue embedding is ``ad.take_rows`` of the projection."""
+
     def test_zero_projection_gives_zero(self):
         fam = make_family(["AC", "CA"])
-        out = onehot_residues(fam.encoded, ad.constant(np.zeros((20, 8))))
+        out = ad.take_rows(ad.constant(np.zeros((20, 8))), fam.encoded)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_identity_projection_recovers_indicator(self):
         fam = make_family(["AC", "CA"])
-        out = onehot_residues(fam.encoded, ad.constant(np.eye(20))).data
+        out = ad.take_rows(ad.constant(np.eye(20)), fam.encoded).data
         for i, rec in enumerate(fam.records):
             for j, ch in enumerate(rec.sequence):
                 expected = np.zeros(20)
@@ -62,23 +74,35 @@ class TestOnehotResidues:
     def test_swapped_sequences_swap_rows(self):
         fam = make_family(["AC", "CA"])
         rng = np.random.default_rng(0)
-        out = onehot_residues(fam.encoded, ad.constant(rng.normal(size=(20, 4)))).data
+        out = ad.take_rows(ad.constant(rng.normal(size=(20, 4))), fam.encoded).data
         np.testing.assert_array_equal(out[0], out[1][::-1])
 
     def test_gradient_flows_to_projection(self):
         fam = make_family(["AC", "CA"])
         proj = ad.Tensor(np.zeros((20, 3)), requires_grad=True)
-        ad.sum_over(onehot_residues(fam.encoded, proj)).backward()
+        ad.sum_over(ad.take_rows(proj, fam.encoded)).backward()
         # A and C each appear twice across the family.
         assert proj.grad[AA_INDEX["A"]].sum() == 2 * 3
         assert proj.grad[AA_INDEX["D"]].sum() == 0
 
+    def test_encoder_pools_the_positioned_projection(self, monkeypatch):
+        # With the attention stack skipped, r_bar is the positional product
+        # of the projected residues, averaged over positions.
+        monkeypatch.setattr(model, "attention_layer", lambda r, *args, **kwargs: r)
+        fam = make_family(["ACD", "DCA", "AAG"])
+        params = init_params(ModelConfig(d=4, heads=2, l_r=1, l_p=1), fam.n, seed=0).tensors
+        r_bar, _ = encode(fam)
+        expected = (params["residue_embed"][fam.encoded] * params["phi_pos"]).mean(axis=1)
+        np.testing.assert_allclose(r_bar.data, expected, rtol=1e-12)
+
 
 class TestApplyPositional:
+    """Positions scale residues through ``ad.mul`` with the N x d table."""
+
     def test_all_ones_is_identity(self):
         rng = np.random.default_rng(1)
         x = ad.constant(rng.normal(size=(3, 4, 5)))
-        out = apply_positional(x, ad.constant(np.ones((4, 5))))
+        out = ad.mul(x, ad.constant(np.ones((4, 5))))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_row_annihilates_position(self):
@@ -86,7 +110,7 @@ class TestApplyPositional:
         x = ad.constant(rng.normal(size=(3, 4, 5)))
         phi = np.ones((4, 5))
         phi[2] = 0.0
-        out = apply_positional(x, ad.constant(phi)).data
+        out = ad.mul(x, ad.constant(phi)).data
         np.testing.assert_array_equal(out[:, 2], 0.0)
         np.testing.assert_array_equal(out[:, 1], x.data[:, 1])
 
@@ -94,8 +118,8 @@ class TestApplyPositional:
         fam = make_family(["AAC", "ACA"])
         rng = np.random.default_rng(3)
         phi = rng.normal(size=(3, 6))
-        x = onehot_residues(fam.encoded, ad.constant(rng.normal(size=(20, 6))))
-        out = apply_positional(x, ad.constant(phi)).data
+        x = ad.take_rows(ad.constant(rng.normal(size=(20, 6))), fam.encoded)
+        out = ad.mul(x, ad.constant(phi)).data
         # Same residue A at positions 0 and 1 now differs.
         assert not np.allclose(out[0, 0], out[0, 1])
 
@@ -103,13 +127,16 @@ class TestApplyPositional:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 3, 4))
         phi = ad.constant(rng.normal(size=(3, 4)))
-        a = apply_positional(ad.constant(2.5 * x), phi).data
-        b = 2.5 * apply_positional(ad.constant(x), phi).data
+        a = ad.mul(ad.constant(2.5 * x), phi).data
+        b = 2.5 * ad.mul(ad.constant(x), phi).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            apply_positional(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((4, 4))))
+        fam = make_family(["ACD", "DCA"])
+        config = ModelConfig(d=4, heads=2, l_r=1, l_p=1)
+        params = init_params(config, 4, seed=0)
+        with pytest.raises(ValueError, match=r"table \(4, 4\) does not match residues \(3, 4\)"):
+            forward(fam, params, config)
 
     def test_init_centered_at_identity(self):
         rng = np.random.default_rng(5)
@@ -119,43 +146,39 @@ class TestApplyPositional:
 
 
 class TestProteinEmbeddings:
+    """h, the initial protein embedding that ``model._encode_rows`` returns."""
+
     def test_identical_sequences_share_rows(self):
         fam = make_family(["ACD", "ACD", "DDA"])
-        rng = np.random.default_rng(6)
-        out = init_protein_embeddings(
-            fam.encoded, "onehot-mean", projection=ad.constant(rng.normal(size=(20, 5)))
-        ).data
-        np.testing.assert_array_equal(out[0], out[1])
+        _, h = encode(fam)
+        np.testing.assert_array_equal(h.data[0], h.data[1])
         # Different residue composition separates; the mean pools away order.
-        assert not np.allclose(out[0], out[2])
+        assert not np.allclose(h.data[0], h.data[2])
 
     def test_zero_projection(self):
         fam = make_family(["ACD", "DCA"])
-        out = init_protein_embeddings(
-            fam.encoded, "onehot-mean", projection=ad.constant(np.zeros((20, 5)))
-        )
-        np.testing.assert_array_equal(out.data, 0.0)
+        _, h = encode(fam, protein_embed=np.zeros((20, 4)))
+        np.testing.assert_array_equal(h.data, 0.0)
 
     def test_mean_of_projected_indicators(self):
         fam = make_family(["AC", "CC"])
         rng = np.random.default_rng(7)
         proj = rng.normal(size=(20, 4))
-        out = init_protein_embeddings(
-            fam.encoded, "onehot-mean", projection=ad.constant(proj)
-        ).data
+        _, h = encode(fam, protein_embed=proj)
         np.testing.assert_allclose(
-            out[0], (proj[AA_INDEX["A"]] + proj[AA_INDEX["C"]]) / 2, atol=1e-12
+            h.data[0], (proj[AA_INDEX["A"]] + proj[AA_INDEX["C"]]) / 2, atol=1e-12
         )
 
-    def test_sidecar_mode_checks_rows(self):
-        fam = make_family(["AC", "CA"])
-        with pytest.raises(SidecarError, match="rows"):
-            init_protein_embeddings(fam.encoded, "sidecar", precomputed=np.ones((3, 4)))
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_sidecar_mode_reads_the_family_rows(self, dtype):
+        fam = make_family(["AC", "CA", "CC"])
+        feats = np.random.default_rng(8).normal(size=(3, 4))
+        _, h = encode(Family(fam.records, feats), protein_mode="sidecar", dtype=dtype)
+        np.testing.assert_array_equal(h.data, feats.astype(dtype))
 
     def test_unknown_mode(self):
-        fam = make_family(["AC", "CA"])
-        with pytest.raises(ValueError, match="unknown protein embedding mode"):
-            init_protein_embeddings(fam.encoded, "plm")
+        with pytest.raises(ValueError, match="unknown protein_mode 'plm'"):
+            ModelConfig(protein_mode="plm")
 
 
 class TestSidecarIO:
@@ -218,6 +241,35 @@ class TestSidecarIO:
         write_sidecar(path, fam.ids, np.ones((2, 2), dtype=np.float32))
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(SidecarError, match="truncated payload"):
+            load_protein_sidecar(path, fam, expected_dim=2)
+
+    @pytest.mark.parametrize("extra", ["record", "bytes"])
+    def test_bytes_after_the_last_record_rejected(self, tmp_path, extra):
+        fam = make_family(["AC", "CA"])
+        path = tmp_path / "prot.bin"
+        if extra == "record":
+            # Three records under a header count of 2.
+            write_sidecar(path, ["p0", "p1", "p2"], np.ones((3, 2), dtype=np.float32))
+            raw = bytearray(path.read_bytes())
+            raw[4:8] = (2).to_bytes(4, "little")
+            path.write_bytes(bytes(raw))
+            message = "12 bytes after the last of 2 records, at offset 40"
+        else:
+            write_sidecar(path, fam.ids, np.ones((2, 2), dtype=np.float32))
+            path.write_bytes(path.read_bytes() + bytes(8))
+            message = "8 bytes after the last of 2 records, at offset 40"
+        with pytest.raises(SidecarError, match=message):
+            load_protein_sidecar(path, fam, expected_dim=2)
+
+    def test_id_that_is_not_utf8_names_the_offset(self, tmp_path):
+        fam = make_family(["AC", "CA"])
+        path = tmp_path / "prot.bin"
+        write_sidecar(path, fam.ids, np.ones((2, 2), dtype=np.float32))
+        # Header (16) + first record (2 + 2 + 8) + the second's id length (2).
+        raw = path.read_bytes()
+        assert raw[30:32] == b"p1"
+        path.write_bytes(raw[:30] + b"\xff1" + raw[32:])
+        with pytest.raises(SidecarError, match=r"prot.bin: id at offset 30 is not valid UTF-8"):
             load_protein_sidecar(path, fam, expected_dim=2)
 
     @pytest.mark.parametrize("fmt", ["binary", "json"])

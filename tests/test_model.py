@@ -22,10 +22,10 @@ from evolmpnn.model import (
     Prediction,
     build_forward,
     forward,
-    gradient_check,
     init_params,
     mse_loss,
 )
+from gradcheck import gradient_check
 from test_evaluation import paper_scale_family, traced_peak
 from test_evolution import naive_evolmpnn
 from test_residue_encoder import reference_layer
@@ -457,6 +457,34 @@ class TestSidecarModes:
         protein, residue = np.ones((4, protein_width)), np.ones((4, 3, residue_width))
         with pytest.raises(ValueError, match=f"family.{field} are 5 wide, expected d = 4"):
             forward(Family(fam.records, protein, residue), params, config)
+
+    @pytest.mark.parametrize(
+        "modes,protein,n_positions,message",
+        [
+            ({"residue_mode": "sidecar"}, None, 3, "sidecar requires residue features"),
+            ({"protein_mode": "sidecar"}, None, 3, "sidecar requires protein features"),
+            ({"protein_mode": "sidecar"}, np.ones((4, 5)), 3, "protein_feats are 5 wide"),
+            ({}, None, 4, r"table \(4, 4\) does not match residues \(3, 4\)"),
+        ],
+        ids=["residue-missing", "protein-missing", "protein-width", "positions"],
+    )
+    def test_inputs_are_checked_before_any_block(
+        self, monkeypatch, modes, protein, n_positions, message
+    ):
+        fam = tiny_family()
+        config = tiny_config(**modes)
+        params = init_params(config, n_positions, seed=9)
+        calls = []
+        encode = model_module._encode_rows
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return encode(*args)
+
+        monkeypatch.setattr(model_module, "_encode_rows", counting)
+        with pytest.raises(ValueError, match=message):
+            build_forward(Family(fam.records, protein), params, config)
+        assert calls == []
 
     def test_sidecar_params_have_no_embeddings(self):
         config = tiny_config(residue_mode="sidecar", protein_mode="sidecar")
