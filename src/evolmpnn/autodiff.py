@@ -30,6 +30,7 @@ __all__ = [
     "matmul",
     "transpose_last",
     "concat_last",
+    "concat_rows",
     "split_last",
     "sum_over",
     "mean_over",
@@ -256,18 +257,29 @@ def transpose_last(a: Tensor) -> Tensor:
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:
+    return _concat(parts, -1)
+
+
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    """Concatenation along axis 0."""
+    return _concat(parts, 0)
+
+
+def _concat(parts: list[Tensor], axis: int) -> Tensor:
     parts = [_wrap(p) for p in parts]
     nodes = [p._node for p in parts]
-    widths = [p.data.shape[-1] for p in parts]
+    widths = [p.data.shape[axis] for p in parts]
+    # The parts' slices of the gradient: ``g[lo:hi]`` or ``g[..., lo:hi]``.
+    lead = () if axis == 0 else (Ellipsis,)
 
     def backward(g):
         offset = 0
         for node, w in zip(nodes, widths):
             if node is not None:
-                node.accumulate(g[..., offset : offset + w])
+                node.accumulate(g[lead + (slice(offset, offset + w),)])
             offset += w
 
-    return _result(np.concatenate([p.data for p in parts], axis=-1), tuple(nodes), backward)
+    return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(nodes), backward)
 
 
 def split_last(a: Tensor, widths) -> list[Tensor]:

@@ -118,6 +118,8 @@ class Family:
         if len(lengths) != 1:
             raise FamilyError("unequal sequence lengths across records")
         self.n = lengths.pop()
+        if self.n == 0:
+            raise FamilyError("every sequence is empty (N = 0)")
         self.m = len(self.records)
         ids = [r.id for r in self.records]
         if len(set(ids)) != self.m:
@@ -210,6 +212,8 @@ def load_family(path) -> Family:
             if rid in seen:
                 raise FamilyError(f"{path}: duplicate id {rid!r} at row {row_no}")
             seen.add(rid)
+            if not seq:
+                raise FamilyError(f"{path}: empty sequence at row {row_no}")
             bad = set(seq) - set(ALPHABET)
             if bad:
                 raise FamilyError(

@@ -11,7 +11,6 @@ record order.
 from __future__ import annotations
 
 import base64
-import json
 import struct
 
 import numpy as np
@@ -45,40 +44,6 @@ def init_positional_table(n: int, d: int, rng: np.random.Generator) -> np.ndarra
 
 _HEADER = struct.Struct("<4sIII")
 _IDLEN = struct.Struct("<H")
-
-
-def write_sidecar(path, ids, payloads: np.ndarray, fmt: str = "binary") -> None:
-    """Write embeddings for ``ids``; payloads is (count, ...) float data."""
-    payloads = np.asarray(payloads, dtype=np.float32)
-    if payloads.shape[0] != len(ids):
-        raise SidecarError("one payload row per id required")
-    dim = payloads.shape[-1]
-    flat = payloads.reshape(len(ids), -1)
-    if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(SIDECAR_MAGIC, len(ids), dim, 0))
-            for rid, row in zip(ids, flat):
-                encoded = rid.encode("utf-8")
-                fh.write(_IDLEN.pack(len(encoded)))
-                fh.write(encoded)
-                fh.write(row.astype("<f4").tobytes())
-    elif fmt == "json":
-        doc = {
-            "magic": "EVSC",
-            "count": len(ids),
-            "dim": int(dim),
-            "records": [
-                {
-                    "id": rid,
-                    "data": base64.b64encode(row.astype("<f4").tobytes()).decode("ascii"),
-                }
-                for rid, row in zip(ids, flat)
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-    else:
-        raise ValueError(f"unknown sidecar format {fmt!r}")
 
 
 def _read_sidecar_binary(path, values_per_record: int) -> tuple[dict[str, np.ndarray], int]:

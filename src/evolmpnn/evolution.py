@@ -16,7 +16,11 @@ while staying frozen at evaluation:
   the splitmix64 finalizer and all arithmetic wraps modulo 2^64;
 - with inclusion probability p_j = 2^-e_j, a protein joins set j iff the
   top e_j bits of ``mix(key ^ salt_j)`` are all zero, the exact integer
-  form of a uniform draw falling below p_j.
+  form of a uniform draw falling below p_j;
+- a training step's gradient rows (``sample_gradient_rows``) use the salt
+  of set 1 under the parts (seed, draw, 2^64 - 1), a layer index that no
+  layer uses: a protein carries gradients iff the top 53 bits of
+  ``mix(key ^ salt)``, read as a fraction of 1, fall below the rate q.
 
 Inclusion probabilities follow 1/2^j but cycle once j exceeds log2(M),
 since deeper sets would otherwise be empty almost surely. A set that still
@@ -24,7 +28,8 @@ comes out empty falls back to one protein: the wild type when it is in the
 pool, and otherwise the pool's smallest id.
 
 The caller picks the draw and layer keys; ``model.build_forward`` passes
-draw 0 and layer 0 to every layer when ``resample_anchors`` is off. Sets
+draw 0 and layer 0 to every layer when ``resample_anchors`` is off, and
+the step's draw to the gradient rows either way. Sets
 hold positions into the pool as passed. evolmpnn sums each set's
 members, and evolgnn each node's neighbours, with the one edge-list op
 ``autodiff.neighbor_sum``.
@@ -77,11 +82,6 @@ def _inclusion_exponent(j: int, m_train: int) -> int:
     return 1 + (j - 1) % max(1, _log2_ceil(m_train))
 
 
-def inclusion_probability(j: int, m_train: int) -> float:
-    """Probability that a training protein joins set j (1-based)."""
-    return 2.0 ** -_inclusion_exponent(j, m_train)
-
-
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MASK64 = (1 << 64) - 1
 
@@ -98,6 +98,14 @@ def _id_keys(ids: list[str]) -> np.ndarray:
         hashlib.blake2b(rid.encode("utf-8"), digest_size=8).digest() for rid in ids
     )
     return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
+
+
+def _salts(parts, k: int) -> np.ndarray:
+    """The salts of sets 1..k under the key ``parts``; callers silence overflow."""
+    base = np.zeros(1, dtype=np.uint64)
+    for part in parts:
+        base = _mix((base ^ np.uint64(int(part) & _MASK64)) + _GOLDEN)
+    return _mix(base + np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN)
 
 
 def sample_anchor_sets(
@@ -130,10 +138,7 @@ def sample_anchor_sets(
     fallback = np.array([pool.index(fallback_id if fallback_id in pool else min(pool))])
     keys = _id_keys(pool)
     with np.errstate(over="ignore"):
-        base = np.zeros(1, dtype=np.uint64)
-        for part in (seed, draw, layer_index):
-            base = _mix((base ^ np.uint64(int(part) & _MASK64)) + _GOLDEN)
-        salts = _mix(base + np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN)
+        salts = _salts((seed, draw, layer_index), k)
         sets = []
         for j in range(1, k + 1):
             e = _inclusion_exponent(j, m)
@@ -146,6 +151,26 @@ def sample_anchor_sets(
     return sets
 
 
+# The layer key of the gradient-row draw: 2^64 - 1, which no layer uses.
+_GRADIENT_ROWS = -1
+
+
+def sample_gradient_rows(ids, q: float, draw: int, *, seed: int = 0) -> np.ndarray:
+    """Which of the proteins ``ids`` carry gradients in training step
+    ``draw``: a boolean array in the order of ``ids``, each protein True
+    with probability ``q`` (all of them at q >= 1).
+
+    Like anchor membership, the draw is keyed on protein ids, so it does not
+    depend on their order; ``seed`` and ``draw`` key it with a layer index
+    that no layer uses, so it is independent of every anchor set.
+    """
+    keys = _id_keys(list(ids))
+    with np.errstate(over="ignore"):
+        hashed = _mix(keys ^ _salts((seed, draw, _GRADIENT_ROWS), 1)[0])
+    # The top 53 bits, read as a fraction of 1, are a uniform draw on [0, 1).
+    return (hashed >> np.uint64(11)).astype(np.float64) < q * 2.0**53
+
+
 # ---------------------------------------------------------------------------
 # Differentiable layers
 # ---------------------------------------------------------------------------
@@ -156,24 +181,46 @@ def evolmpnn_layer(
     r_bar: ad.Tensor,
     members: list[np.ndarray],
     w_combine: ad.Tensor,
+    carried: np.ndarray | None = None,
 ) -> ad.Tensor:
     """Anchor-set message passing: mean message, concat, combine.
 
-    ``members`` holds one ascending index array per anchor set, into the
-    rows of ``h`` and ``r_bar``. Each set's mean embedding and mean residue
-    summary is a weighted edge sum (set j <- member i, weight 1/|S_j| in the
-    model dtype), so it costs O(sum |S_j| * d) with no k x M matrix; the
-    sums are bitwise equal to the product with the dense membership
-    matrix. The mean over anchor messages H_j * (r_i - a_j) distributes
-    into two rank-1 terms, which avoids materializing the (M, k, d) message
-    block; tests pin this against the literal per-anchor loop.
+    ``members`` holds one index array per anchor set, into the rows of ``h``
+    and ``r_bar``; each set's sums run over its members in that order. Each
+    set's mean embedding and mean residue summary is a weighted edge sum
+    (set j <- member i, weight 1/|S_j| in the model dtype), so it costs
+    O(sum |S_j| * d) with no k x M matrix; with ascending members the sums
+    are bitwise equal to the product with the dense membership matrix. The
+    mean over anchor messages H_j * (r_i - a_j) distributes into two rank-1
+    terms, which avoids materializing the (M, k, d) message block; tests pin
+    this against the literal per-anchor loop.
+
+    ``carried`` gives, per row, the probability pi_i with which the row was
+    drawn to carry gradients, 0 where it carries none (default: 1 for
+    every row). A set mean is ``exact + (sampled - constant(sampled))``:
+    ``exact`` sums the values of all members, and ``sampled`` only the
+    members that carry gradients, weighted 1/(|S_j| * pi_i). The bracket is
+    exactly 0, so the value is bitwise the exact mean, and the gradient
+    reaching the rows is that of the exact mean in expectation (the control
+    variate of VR-GCN, Chen, Zhu & Song, 2018). With every pi_i = 1 it is
+    the exact gradient.
     """
+    k, dtype = len(members), h.data.dtype
     sizes = np.array([len(rows) for rows in members])
-    dst = np.repeat(np.arange(len(members)), sizes)
+    dst = np.repeat(np.arange(k), sizes)
     src = np.concatenate(members)
-    weight = np.repeat((1.0 / sizes).astype(h.data.dtype), sizes)
-    anchor_h = ad.neighbor_sum(h, dst, src, len(members), weight)
-    anchor_r = ad.neighbor_sum(r_bar, dst, src, len(members), weight)
+    weight = np.repeat((1.0 / sizes).astype(dtype), sizes)
+    pi = np.ones(len(src)) if carried is None else carried[src]
+    drawn = pi > 0
+    drawn_weight = (weight[drawn] / pi[drawn]).astype(dtype)
+
+    def set_means(x):
+        exact = ad.neighbor_sum(ad.constant(x.data), dst, src, k, weight)
+        sampled = ad.neighbor_sum(x, dst[drawn], src[drawn], k, drawn_weight)
+        return ad.add(exact, ad.sub(sampled, ad.constant(sampled.data)))
+
+    anchor_h = set_means(h)
+    anchor_r = set_means(r_bar)
     mean_h = ad.mean_over(anchor_h, axis=0)
     mean_cross = ad.mean_over(ad.mul(anchor_h, anchor_r), axis=0)
     h_hat = ad.sub(ad.mul(r_bar, mean_h), mean_cross)

@@ -8,12 +8,15 @@ protein embedding and the mean-pooled residues.
 The anchor-based variant encodes the rows it is asked about plus the union
 of every layer's anchor members. Every cycle of inclusion probabilities has
 a p = 1/2 set, so that union is in practice the whole training pool: a
-training batch encodes the batch plus the pool. Anchor sets come back as
-positions into the pool, which ``build_forward`` maps to family rows once;
-the layer sums each set's rows with the edge-list op
-``autodiff.neighbor_sum``, in edge blocks, so no k x M membership matrix is
-formed. The graph and all-pairs variants are transductive and always
-compute over every record.
+training batch encodes the batch plus the pool. It backpropagates only the
+batch and a keyed random sample of about one encode block of the other
+rows, drawn anew each step; the other rows are encoded without a graph,
+and each set mean keeps its exact value while its gradient comes from the
+sample (``evolution.evolmpnn_layer``). Anchor sets come back as positions
+into the pool, which ``build_forward`` maps to family rows once; the layer
+sums each set's rows with the edge-list op ``autodiff.neighbor_sum``, in
+edge blocks, so no k x M membership matrix is formed. The graph and
+all-pairs variants are transductive and always compute over every record.
 
 The all-pairs variant's last evolution layer attends only from the rows it
 is asked about, so a training step's last layer is O(B * M).
@@ -27,8 +30,9 @@ each block keeps, until its backward, only the arrays its ops' backward
 reads, not every intermediate; backward runs per block on the pool, and
 the blocks' gradients are added in block order, so trained parameters do
 not depend on W. A step's forward memory is that of those saved arrays over
-every active row (about 1 MB per protein for a default-width evolmpnn in
-float64: 266 MB traced for a 256-protein pool at M = 8,192, N = 32), and
+every row it backpropagates (about 1 MB per protein for a default-width
+evolmpnn in float64, whose step at M = 8,192, N = 32 and 32 batch rows
+peaks at about 134 MB traced with a 256- or a 1,024-protein pool), and
 over every query row of a non-final all-pairs layer (one M-wide softmax per
 head, O(M^2)); backward frees each block's saved arrays as it goes. Inference
 and validation run with constant leaves, so no op keeps its inputs or a
@@ -44,9 +48,23 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import ALPHABET, Family, Graph, _is_int, check_field_types, check_known_keys
+from .data import (
+    ALPHABET,
+    Family,
+    Graph,
+    _block_rows,
+    _is_int,
+    check_field_types,
+    check_known_keys,
+)
 from .embeddings import init_positional_table
-from .evolution import evolgnn_layer, evolformer_layer, evolmpnn_layer, sample_anchor_sets
+from .evolution import (
+    evolgnn_layer,
+    evolformer_layer,
+    evolmpnn_layer,
+    sample_anchor_sets,
+    sample_gradient_rows,
+)
 from .residue_encoder import LOGIT_BYTES, NumericsError, attention_layer
 
 VARIANTS = ("evolmpnn", "evolgnn", "evolformer")
@@ -281,6 +299,28 @@ def _pool_rows(family: Family, train_ids) -> np.ndarray:
     return np.sort(np.fromiter(rows.values(), dtype=np.int64, count=len(rows)))
 
 
+def _gradient_rows(
+    family: Family, active: np.ndarray, requested: list[int], draw: int, seed: int
+) -> np.ndarray:
+    """Per ``active`` row, the probability with which it carries gradients in
+    training step ``draw``, or 0 where the draw left it out.
+
+    Every requested row carries them. Each of the r other rows does with
+    probability q = min(1, b / r), b being the larger of the requested row
+    count and the rows of one encode block, so a step backpropagates the
+    batch plus about one block, and a pool whose other rows fit one block
+    keeps every row (q = 1).
+    """
+    batch = np.isin(active, requested)
+    others = active[~batch]
+    b = max(int(batch.sum()), _block_rows(LOGIT_BYTES * family.n**2))
+    q = min(1.0, b / len(others)) if len(others) else 1.0
+    prob = np.ones(len(active))
+    drawn = sample_gradient_rows([family.ids[row] for row in others], q, draw, seed=seed)
+    prob[~batch] = np.where(drawn, q, 0.0)
+    return prob
+
+
 def build_forward(
     family: Family,
     params: ModelParams,
@@ -299,16 +339,19 @@ def build_forward(
     65,536 // M rows, on W worker threads, one per usable CPU. Training
     passes ``grad=True``: the leaves require gradients, every op records a
     backward closure that keeps only the arrays it reads, and each block
-    keeps its graph until backward, which also runs per block. Inference and
-    validation pass ``grad=False``:
-    the leaves are constants, so no graph is kept, and memory is
+    keeps its graph until backward, which also runs per block. evolmpnn
+    encodes with such leaves only the requested rows and the rows that
+    ``anchor_draw`` samples (``_gradient_rows``), and the other active rows
+    with constant leaves. Inference and validation pass ``grad=False``: the
+    leaves are constants, so no graph is kept, and memory is
     O(W * block * N^2 + W * block * M + M * d).
 
     ``rows`` are family row indices, in any order and possibly repeated;
     each must be an integer in [0, M). ``train_ids``, the anchor pool
     (default: every record), must be unique family ids. ``anchor_draw``
     keys a training step's anchor sets, and evaluation uses 0; with
-    ``config.resample_anchors`` off it is ignored. Sidecar features that the
+    ``config.resample_anchors`` off the sets ignore it, but the sampled
+    gradient rows do not. Sidecar features that the
     config reads must be ``config.d`` wide.
     """
     _check_inputs(family, params, config)
@@ -337,6 +380,10 @@ def build_forward(
         ]
         used = np.concatenate([s.member_ids for sets in anchor_sets_per_layer for s in sets])
         active = np.union1d(np.array(requested, dtype=np.int64), pool_rows[used])
+        if grad:
+            carried = _gradient_rows(family, active, requested, anchor_draw, config.anchor_seed)
+        else:
+            carried = np.zeros(len(active))
         # Only members are looked up, and every member row is active.
         active_of_pool = np.searchsorted(active, pool_rows)
     else:
@@ -348,22 +395,46 @@ def build_forward(
                     f"graph has {graph.n_nodes} nodes but the family has {family.m} records"
                 )
         active = np.arange(family.m)
-    # Each protein is encoded alone, so its rows run in independent blocks.
-    encoded = ad.map_rows(
-        lambda lo, hi, own: ad.concat_last(_encode_rows(family, active[lo:hi], own, config)),
-        len(active),
-        LOGIT_BYTES * family.n**2,
-        leaves,
-    )
+        carried = np.full(family.m, float(grad))
+    # The rows that carry no gradients come first, then the others, each in
+    # ascending order; ``position`` maps an index into ``active`` to its row
+    # of ``encoded``. Every row is encoded alone, so its values do not depend
+    # on its block or on whether its leaves require gradients. The first
+    # half keeps no graph, so its blocks' memory is freed before the second
+    # half's graph is built.
+    order = np.argsort(carried > 0, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    n_frozen = len(order) - int(np.count_nonzero(carried))
+    frozen = {name: ad.constant(leaf.data) for name, leaf in leaves.items()}
+    halves = ((active[order[:n_frozen]], frozen), (active[order[n_frozen:]], leaves))
+    parts = [
+        ad.map_rows(
+            lambda lo, hi, own, rows=rows: ad.concat_last(
+                _encode_rows(family, rows[lo:hi], own, config)
+            ),
+            len(rows),
+            LOGIT_BYTES * family.n**2,
+            own_leaves,
+        )
+        for rows, own_leaves in halves
+        if len(rows)
+    ]
+    encoded = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
     r_bar, h = ad.split_last(encoded, [config.d, config.d])
 
-    # ``active`` is sorted, so a requested row's position is its insertion point.
-    keep = np.searchsorted(active, requested)
+    # ``active`` is sorted, so a requested row's index is its insertion point.
+    keep = position[np.searchsorted(active, requested)]
     for layer in range(config.l_p):
         prefix = f"evo{layer}"
         if config.variant == "evolmpnn":
-            members = [active_of_pool[s.member_ids] for s in anchor_sets_per_layer[layer]]
-            h = evolmpnn_layer(h, r_bar, members, leaves[f"{prefix}.combine"])
+            # Members keep their ascending row order, which fixes each set's sums.
+            members = [
+                position[active_of_pool[s.member_ids]] for s in anchor_sets_per_layer[layer]
+            ]
+            h = evolmpnn_layer(
+                h, r_bar, members, leaves[f"{prefix}.combine"], carried[order]
+            )
         elif config.variant == "evolgnn":
             h = evolgnn_layer(
                 h,

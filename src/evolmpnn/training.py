@@ -2,9 +2,11 @@
 
 Training shuffles the train rows into mini-batches; for the anchor-based
 variant each batch forward also encodes the current anchor members, which
-in practice cover the whole training pool. A step encodes and
-backpropagates its proteins in row blocks on the worker pool, and each
-step's graph is freed before the next one is built. Validation runs the
+in practice cover the whole training pool, but backpropagates only the
+batch and a sample of about one encode block of the pool, drawn anew each
+step (``model.build_forward``). A step encodes and backpropagates its
+proteins in row blocks on the worker pool, and each step's graph is freed
+before the next one is built. Validation runs the
 forward pass without the autodiff graph, in row blocks, and its Spearman
 drives model selection: the returned parameters are the ones from the best
 validation epoch. Everything is reproducible from (seed, config, data),

@@ -28,10 +28,11 @@ from evolmpnn.evaluation import (
     predict,
     spearman,
 )
-from evolmpnn.evolution import anchor_count, inclusion_probability, sample_anchor_sets
+from evolmpnn.evolution import anchor_count, sample_anchor_sets
 from evolmpnn.model import ModelConfig
 from evolmpnn.training import TrainConfig, train
 from gradcheck import gradient_check
+from test_evolution import inclusion_probability
 
 
 def check(criterion: str, ok: bool, detail: str) -> None:

@@ -20,10 +20,10 @@ from evolmpnn.cli import (
     save_checkpoint,
 )
 from evolmpnn.data import LandscapeSpec, load_family, load_split, synth_family
-from evolmpnn.embeddings import write_sidecar
 from evolmpnn.evaluation import predict
 from evolmpnn.model import ModelConfig, init_params
 from evolmpnn.training import TrainConfig
+from test_embeddings import write_sidecar
 
 
 def landscape_json(tmp_path, n=8, m=40, max_mutations=4, seed=3, scale=1.0):

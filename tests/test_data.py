@@ -66,6 +66,16 @@ class TestLoadFamily:
         with pytest.raises(FamilyError, match="unequal sequence lengths at row 2"):
             load_family(p)
 
+    def test_empty_sequences_rejected_naming_the_file(self, tmp_path):
+        # Loaded, this family reached the forward pass with N = 0.
+        p = write_csv(tmp_path / "f.csv", ["a,,1,1", "b,,0,0"])
+        with pytest.raises(FamilyError, match="f.csv: empty sequence at row 1"):
+            load_family(p)
+
+    def test_family_of_empty_sequences_rejected(self):
+        with pytest.raises(FamilyError, match=re.escape("every sequence is empty (N = 0)")):
+            make_family(["", ""])
+
     @pytest.mark.parametrize("ch", list("BJOUXZ"))
     def test_noncanonical_residues_rejected(self, tmp_path, ch):
         p = write_csv(tmp_path / "f.csv", [f"wt,AC{ch}E,1,1", "m1,ACDE,0,0"])

@@ -12,13 +12,48 @@ from evolmpnn import autodiff as ad
 from evolmpnn import model
 from evolmpnn.data import AA_INDEX, Family, ProteinRecord
 from evolmpnn.embeddings import (
+    _HEADER,
+    _IDLEN,
+    SIDECAR_MAGIC,
     SidecarError,
     init_positional_table,
     load_protein_sidecar,
     load_residue_sidecar,
-    write_sidecar,
 )
 from evolmpnn.model import ModelConfig, forward, init_params
+
+
+def write_sidecar(path, ids, payloads: np.ndarray, fmt: str = "binary") -> None:
+    """Write embeddings for ``ids`` in the binary or JSON sidecar layout;
+    payloads is (count, ...) float data."""
+    payloads = np.asarray(payloads, dtype=np.float32)
+    assert payloads.shape[0] == len(ids), "one payload row per id required"
+    dim = payloads.shape[-1]
+    flat = payloads.reshape(len(ids), -1)
+    if fmt == "binary":
+        with open(path, "wb") as fh:
+            fh.write(_HEADER.pack(SIDECAR_MAGIC, len(ids), dim, 0))
+            for rid, row in zip(ids, flat):
+                encoded = rid.encode("utf-8")
+                fh.write(_IDLEN.pack(len(encoded)))
+                fh.write(encoded)
+                fh.write(row.astype("<f4").tobytes())
+    else:
+        assert fmt == "json", f"unknown sidecar format {fmt!r}"
+        doc = {
+            "magic": "EVSC",
+            "count": len(ids),
+            "dim": int(dim),
+            "records": [
+                {
+                    "id": rid,
+                    "data": base64.b64encode(row.astype("<f4").tobytes()).decode("ascii"),
+                }
+                for rid, row in zip(ids, flat)
+            ],
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
 
 
 def make_family(seqs):

@@ -17,11 +17,17 @@ from evolmpnn.evolution import (
     anchor_count,
     evolgnn_layer,
     evolformer_layer,
+    _inclusion_exponent,
     evolmpnn_layer,
-    inclusion_probability,
     sample_anchor_sets,
+    sample_gradient_rows,
 )
 from test_residue_encoder import layer_params, reference_layer
+
+
+def inclusion_probability(j: int, m_train: int) -> float:
+    """Probability that a training protein joins set j (1-based)."""
+    return 2.0 ** -_inclusion_exponent(j, m_train)
 
 
 class TestAnchorCount:
@@ -196,6 +202,25 @@ def anchor_message(h_anchor: np.ndarray, diff: np.ndarray) -> np.ndarray:
     if h_anchor.shape != diff.shape:
         raise ValueError(f"shape mismatch: {h_anchor.shape} vs {diff.shape}")
     return h_anchor * diff
+
+
+class TestGradientRowDraw:
+    def test_keyed_on_ids_not_their_order(self):
+        ids = [f"p{i}" for i in range(200)]
+        drawn = sample_gradient_rows(ids, 0.3, 5, seed=2)
+        reordered = sample_gradient_rows(ids[::-1], 0.3, 5, seed=2)
+        np.testing.assert_array_equal(drawn, reordered[::-1])
+
+    def test_rate_is_q_and_every_row_at_q_one(self):
+        ids = [f"p{i}" for i in range(20000)]
+        assert abs(sample_gradient_rows(ids, 0.2, 1).mean() - 0.2) < 0.01
+        assert sample_gradient_rows(ids, 1.0, 1).all()
+
+    def test_changes_with_draw_and_seed(self):
+        ids = [f"p{i}" for i in range(200)]
+        base = sample_gradient_rows(ids, 0.5, 1)
+        assert np.any(base != sample_gradient_rows(ids, 0.5, 2))
+        assert np.any(base != sample_gradient_rows(ids, 0.5, 1, seed=1))
 
 
 class TestReferenceOps:

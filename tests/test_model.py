@@ -407,28 +407,77 @@ class TestEvolformerMemory:
         assert "evo0.h0.wq" in grads and all(np.all(np.isfinite(g)) for g in grads.values())
 
 
+def default_width_step(pool: int):
+    """Traced peak of one default-width evolmpnn training step (M = 8,192,
+    N = 32, 32 batch rows) over a pool of ``pool`` proteins, whose
+    gradients must be finite."""
+    fam = paper_scale_family(8192)
+    config = ModelConfig(variant="evolmpnn")
+    assert (config.d, config.heads, config.l_r, config.l_p) == (128, 4, 2, 2)
+    params = init_params(config, fam.n, seed=0)
+    batch = list(range(32))
+
+    def step():
+        fg = build_forward(
+            fam, params, config, rows=batch, train_ids=fam.ids[:pool], anchor_draw=1
+        )
+        mse_loss(fg.y_hat, fam.targets[batch]).backward()
+        return fg.grads()
+
+    grads, peak = traced_peak(step)
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    return peak
+
+
 class TestEvolmpnnMemory:
     @pytest.mark.usefixtures("fixed_workers")
     def test_default_width_training_step(self):
-        # The step keeps only the arrays backward reads: 266 MB traced,
-        # growing by about 1 MB per pool protein. While every op's output
-        # stayed alive until backward, it peaked at 521 MB.
-        fam = paper_scale_family(8192)
-        config = ModelConfig(variant="evolmpnn")
-        assert (config.d, config.heads, config.l_r, config.l_p) == (128, 4, 2, 2)
-        params = init_params(config, fam.n, seed=0)
-        batch = list(range(32))
+        # The step keeps only the arrays backward reads, and only for the
+        # batch and about one encode block (64 proteins) of the rest of the
+        # pool: about 134 MB traced. Backpropagating the whole pool, it took
+        # 266 MB, and while every op's output stayed alive until backward,
+        # 521 MB.
+        assert default_width_step(256) < 350e6
 
-        def step():
-            fg = build_forward(
-                fam, params, config, rows=batch, train_ids=fam.ids[:256], anchor_draw=1
-            )
-            mse_loss(fg.y_hat, fam.targets[batch]).backward()
-            return fg.grads()
+    @pytest.mark.usefixtures("fixed_workers")
+    def test_training_step_memory_barely_grows_with_the_pool(self):
+        # Rows outside the batch and the drawn block are encoded without a
+        # graph. Backpropagating the whole pool, the peak grew from 266 MB
+        # to 991 MB over the same pools.
+        small, large = default_width_step(256), default_width_step(1024)
+        assert large < 1.5 * small and large < 250e6, (small, large)
 
-        grads, peak = traced_peak(step)
-        assert peak < 350e6
-        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+class TestSampledAnchorGradients:
+    @pytest.mark.parametrize("l_p", [1, 2])
+    def test_gradient_over_draws_averages_to_the_exact_one(self, monkeypatch, l_p):
+        rng = np.random.default_rng(21)
+        spec = LandscapeSpec(
+            n=6, m=48, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=21
+        )
+        fam = synth_family(spec)
+        # Frozen anchor sets, so only the gradient-row draw varies with the step.
+        config = tiny_config(l_p=l_p, heads=1, d_head=4, resample_anchors=False)
+        params = init_params(config, fam.n, seed=22)
+        batch = list(range(0, fam.m, 6))
+
+        def step(draw):
+            fg = build_forward(fam, params, config, rows=batch, anchor_draw=draw)
+            loss = mse_loss(fg.y_hat, fam.targets[batch])
+            loss.backward()
+            grads = fg.grads()
+            return loss.data.tobytes(), np.concatenate([grads[k].ravel() for k in sorted(grads)])
+
+        # One encode block holds the 40 rows outside the batch: q = 1.
+        exact_loss, exact = step(1)
+        # Blocks of 2 proteins: b = max(8 batch rows, 2), so q = 8 / 40.
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * 64 * fam.n**2)
+        losses, grads = zip(*(step(draw) for draw in range(1, 401)))
+        assert set(losses) == {exact_loss}
+        errors = np.linalg.norm(np.array(grads) - exact, axis=1) / np.linalg.norm(exact)
+        mean_error = np.linalg.norm(np.mean(grads, axis=0) - exact) / np.linalg.norm(exact)
+        assert np.median(errors) > 0
+        assert mean_error < 0.25 * np.median(errors), (mean_error, np.median(errors))
 
 
 class TestSidecarModes:
