@@ -8,8 +8,9 @@ membership is decided by a keyed hash, so sampling is reproducible,
 independent of record order, and refreshable per training step and layer
 while staying frozen at evaluation:
 
-- each protein id is hashed once per call to a 64-bit key, the
-  little-endian value of ``blake2b(id.encode("utf-8"), digest_size=8)``;
+- each protein id is hashed to a 64-bit key, the little-endian value of
+  ``blake2b(id.encode("utf-8"), digest_size=8)``; the keys of the last few
+  pools are kept, so the steps of a training run hash their pool once;
 - the parts (seed, draw, layer) fold into a base salt, starting from 0,
   via ``base = mix((base ^ part) + G)``, and set j gets the salt
   ``salt_j = mix(base + j * G)``, where G = 0x9E3779B97F4A7C15, ``mix`` is
@@ -37,6 +38,7 @@ members, and evolgnn each node's neighbours, with the one edge-list op
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -93,11 +95,15 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _id_keys(ids: list[str]) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _id_keys(ids: tuple[str, ...]) -> np.ndarray:
+    """The 64-bit keys of ``ids``, read-only, since calls share them."""
     digests = b"".join(
         hashlib.blake2b(rid.encode("utf-8"), digest_size=8).digest() for rid in ids
     )
-    return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
+    keys = np.frombuffer(digests, dtype="<u8").astype(np.uint64)
+    keys.flags.writeable = False
+    return keys
 
 
 def _salts(parts, k: int) -> np.ndarray:
@@ -136,7 +142,7 @@ def sample_anchor_sets(
     if k < 1:
         raise ValueError("anchor count must be >= 1")
     fallback = np.array([pool.index(fallback_id if fallback_id in pool else min(pool))])
-    keys = _id_keys(pool)
+    keys = _id_keys(tuple(pool))
     with np.errstate(over="ignore"):
         salts = _salts((seed, draw, layer_index), k)
         sets = []
@@ -164,7 +170,7 @@ def sample_gradient_rows(ids, q: float, draw: int, *, seed: int = 0) -> np.ndarr
     depend on their order; ``seed`` and ``draw`` key it with a layer index
     that no layer uses, so it is independent of every anchor set.
     """
-    keys = _id_keys(list(ids))
+    keys = _id_keys(tuple(ids))
     with np.errstate(over="ignore"):
         hashed = _mix(keys ^ _salts((seed, draw, _GRADIENT_ROWS), 1)[0])
     # The top 53 bits, read as a fraction of 1, are a uniform draw on [0, 1).

@@ -5,18 +5,23 @@ residue attention stack, applies the configured evolution layers, and
 reads predictions off a linear head over the concatenation of the final
 protein embedding and the mean-pooled residues.
 
-The anchor-based variant encodes the rows it is asked about plus the union
+The anchor-based variant needs the rows it is asked about plus the union
 of every layer's anchor members. Every cycle of inclusion probabilities has
-a p = 1/2 set, so that union is in practice the whole training pool: a
-training batch encodes the batch plus the pool. It backpropagates only the
-batch and a keyed random sample of about one encode block of the other
-rows, drawn anew each step; the other rows are encoded without a graph,
-and each set mean keeps its exact value while its gradient comes from the
-sample (``evolution.evolmpnn_layer``). Anchor sets come back as positions
-into the pool, which ``build_forward`` maps to family rows once; the layer
-sums each set's rows with the edge-list op ``autodiff.neighbor_sum``, in
-edge blocks, so no k x M membership matrix is formed. The graph and
-all-pairs variants are transductive and always compute over every record.
+a p = 1/2 set, so that union is in practice the whole training pool. A
+training step backpropagates only the batch and a keyed random sample of
+about one encode block of the other rows, drawn anew each step; each set
+mean keeps its exact value while its gradient comes from the sample
+(``evolution.evolmpnn_layer``). The rest of the pool carries no gradient.
+``training.train`` keeps a ``History`` of each pool row's latest encoding:
+its first step encodes the rest of the pool without a graph, and every
+later step reads it from the history, refreshed by the rows that steps and
+validation encode, so a step encodes about its batch plus one block,
+whatever the pool size. Inference never reads the history. Anchor sets
+come back as positions into the pool, which ``build_forward`` maps to
+family rows once; the layer sums each set's rows with the edge-list op
+``autodiff.neighbor_sum``, in edge blocks, so no k x M membership matrix
+is formed. The graph and all-pairs variants are transductive and always
+compute over every record.
 
 The all-pairs variant's last evolution layer attends only from the rows it
 is asked about, so a training step's last layer is O(B * M).
@@ -223,6 +228,8 @@ class ForwardGraph:
     z: ad.Tensor
     rows: list[int]  # family row index of each output row
     leaves: dict[str, ad.Tensor]
+    encoded_rows: int  # proteins passed to the encoder
+    cached_rows: int  # proteins read from a History instead
 
     def grads(self) -> dict[str, np.ndarray]:
         return {
@@ -230,6 +237,24 @@ class ForwardGraph:
             for name, leaf in self.leaves.items()
             if leaf.grad is not None
         }
+
+
+@dataclass
+class History:
+    """The (r_bar, h) each anchor-pool protein was last encoded to.
+
+    ``values`` holds one row per pool protein, in ascending family-row
+    order, 2d wide ([r_bar, h]) in the model dtype; ``held`` marks the rows
+    written so far. ``training.train`` keeps one for the length of a call.
+    """
+
+    values: np.ndarray
+    held: np.ndarray
+
+    @classmethod
+    def empty(cls, pool_size: int, config: ModelConfig) -> "History":
+        values = np.zeros((pool_size, 2 * config.d), dtype=config.np_dtype)
+        return cls(values, np.zeros(pool_size, dtype=bool))
 
 
 def _check_inputs(family: Family, params: ModelParams, config: ModelConfig) -> None:
@@ -300,24 +325,31 @@ def _pool_rows(family: Family, train_ids) -> np.ndarray:
 
 
 def _gradient_rows(
-    family: Family, active: np.ndarray, requested: list[int], draw: int, seed: int
+    family: Family,
+    active: np.ndarray,
+    requested: list[int],
+    pool_rows: np.ndarray,
+    pool_ids: list[str],
+    draw: int,
+    seed: int,
 ) -> np.ndarray:
     """Per ``active`` row, the probability with which it carries gradients in
     training step ``draw``, or 0 where the draw left it out.
 
-    Every requested row carries them. Each of the r other rows does with
-    probability q = min(1, b / r), b being the larger of the requested row
-    count and the rows of one encode block, so a step backpropagates the
-    batch plus about one block, and a pool whose other rows fit one block
-    keeps every row (q = 1).
+    Every requested row carries them. Each of the r other rows, all of them
+    pool rows, does with probability q = min(1, b / r), b being the larger of
+    the requested row count and the rows of one encode block, so a step
+    backpropagates the batch plus about one block, and a pool whose other
+    rows fit one block keeps every row (q = 1). The draw runs over the whole
+    pool, whose id keys are kept between calls, and is read at the others.
     """
     batch = np.isin(active, requested)
     others = active[~batch]
     b = max(int(batch.sum()), _block_rows(LOGIT_BYTES * family.n**2))
     q = min(1.0, b / len(others)) if len(others) else 1.0
     prob = np.ones(len(active))
-    drawn = sample_gradient_rows([family.ids[row] for row in others], q, draw, seed=seed)
-    prob[~batch] = np.where(drawn, q, 0.0)
+    drawn = sample_gradient_rows(pool_ids, q, draw, seed=seed)
+    prob[~batch] = np.where(drawn[np.searchsorted(pool_rows, others)], q, 0.0)
     return prob
 
 
@@ -331,6 +363,7 @@ def build_forward(
     anchor_draw: int = 0,
     graph: Graph | None = None,
     grad: bool = True,
+    history: History | None = None,
 ) -> ForwardGraph:
     """Run the full pipeline, returning tensors for the requested rows.
 
@@ -345,6 +378,15 @@ def build_forward(
     with constant leaves. Inference and validation pass ``grad=False``: the
     leaves are constants, so no graph is kept, and memory is
     O(W * block * N^2 + W * block * M + M * d).
+
+    ``history``, which only ``training.train`` passes, is the anchor pool's
+    ``History``; only evolmpnn touches it. A step with ``grad=True`` reads
+    from it every row that carries no gradients and that it holds, instead
+    of encoding the row, and every call writes the pool rows it encodes, so
+    validation refreshes it too but never reads it. In ``train`` each pool
+    row is encoded at least once an epoch, in its own batch, so the values
+    read are about an epoch old at most. A step that reads nothing, as in a
+    pool whose other rows fit one block, is bitwise one without a history.
 
     ``rows`` are family row indices, in any order and possibly repeated;
     each must be an integer in [0, M). ``train_ids``, the anchor pool
@@ -364,6 +406,14 @@ def build_forward(
 
     if config.variant == "evolmpnn":
         pool_rows = _pool_rows(family, family.ids if train_ids is None else train_ids)
+        if history is not None and (
+            history.values.shape != (len(pool_rows), 2 * config.d)
+            or history.values.dtype != dtype
+        ):
+            raise ValueError(
+                f"history holds {history.values.shape} {history.values.dtype} values, "
+                f"expected {(len(pool_rows), 2 * config.d)} {np.dtype(dtype)}"
+            )
         # Sampled in row order, each set's positions map to ascending rows.
         pool_ids = [family.ids[row] for row in pool_rows]
         resample = config.resample_anchors
@@ -381,11 +431,15 @@ def build_forward(
         used = np.concatenate([s.member_ids for sets in anchor_sets_per_layer for s in sets])
         active = np.union1d(np.array(requested, dtype=np.int64), pool_rows[used])
         if grad:
-            carried = _gradient_rows(family, active, requested, anchor_draw, config.anchor_seed)
+            carried = _gradient_rows(
+                family, active, requested, pool_rows, pool_ids, anchor_draw, config.anchor_seed
+            )
         else:
             carried = np.zeros(len(active))
         # Only members are looked up, and every member row is active.
         active_of_pool = np.searchsorted(active, pool_rows)
+        # Each active row's slot in the history, or -1 outside the pool.
+        slot = np.where(np.isin(active, pool_rows), np.searchsorted(pool_rows, active), -1)
     else:
         if config.variant == "evolgnn":
             if graph is None:
@@ -396,19 +450,27 @@ def build_forward(
                 )
         active = np.arange(family.m)
         carried = np.full(family.m, float(grad))
-    # The rows that carry no gradients come first, then the others, each in
-    # ascending order; ``position`` maps an index into ``active`` to its row
-    # of ``encoded``. Every row is encoded alone, so its values do not depend
-    # on its block or on whether its leaves require gradients. The first
-    # half keeps no graph, so its blocks' memory is freed before the second
-    # half's graph is built.
-    order = np.argsort(carried > 0, kind="stable")
+        history = None  # only evolmpnn reads or writes it
+    cached = np.zeros(len(active), dtype=bool)
+    if history is not None and grad:
+        cached = (slot >= 0) & (carried == 0) & history.held[slot]
+    # Rows read from the history come first, then the other rows that carry
+    # no gradients, then those that do, each group in ascending order;
+    # ``position`` maps an index into ``active`` to its row of ``encoded``.
+    # Every row is encoded alone, so its values do not depend on its block or
+    # on whether its leaves require gradients. The second group keeps no
+    # graph, so its blocks' memory is freed before the third one's graph is
+    # built.
+    group = np.where(cached, 0, np.where(carried > 0, 2, 1))
+    order = np.argsort(group, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
-    n_frozen = len(order) - int(np.count_nonzero(carried))
+    read, frozen_at, carried_at = np.split(
+        order, np.cumsum(np.bincount(group, minlength=3))[:2]
+    )
     frozen = {name: ad.constant(leaf.data) for name, leaf in leaves.items()}
-    halves = ((active[order[:n_frozen]], frozen), (active[order[n_frozen:]], leaves))
-    parts = [
+    parts = [ad.constant(history.values[slot[read]])] if len(read) else []
+    parts += [
         ad.map_rows(
             lambda lo, hi, own, rows=rows: ad.concat_last(
                 _encode_rows(family, rows[lo:hi], own, config)
@@ -417,10 +479,14 @@ def build_forward(
             LOGIT_BYTES * family.n**2,
             own_leaves,
         )
-        for rows, own_leaves in halves
+        for rows, own_leaves in ((active[frozen_at], frozen), (active[carried_at], leaves))
         if len(rows)
     ]
     encoded = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
+    if history is not None:
+        fresh = (slot >= 0) & ~cached
+        history.values[slot[fresh]] = encoded.data[position[fresh]]
+        history.held[slot[fresh]] = True
     r_bar, h = ad.split_last(encoded, [config.d, config.d])
 
     # ``active`` is sorted, so a requested row's index is its insertion point.
@@ -457,7 +523,14 @@ def build_forward(
     y_hat = ad.matmul(z, leaves["w_final"])
     if not np.all(np.isfinite(y_hat.data)):
         raise NumericsError("non-finite predictions at the output head")
-    return ForwardGraph(y_hat=y_hat, z=z, rows=requested, leaves=leaves)
+    return ForwardGraph(
+        y_hat=y_hat,
+        z=z,
+        rows=requested,
+        leaves=leaves,
+        encoded_rows=len(active) - len(read),
+        cached_rows=len(read),
+    )
 
 
 def forward(

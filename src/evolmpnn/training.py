@@ -1,16 +1,27 @@
 """Optimisation loop: Adam, target standardization, early stopping.
 
 Training shuffles the train rows into mini-batches; for the anchor-based
-variant each batch forward also encodes the current anchor members, which
-in practice cover the whole training pool, but backpropagates only the
-batch and a sample of about one encode block of the pool, drawn anew each
-step (``model.build_forward``). A step encodes and backpropagates its
-proteins in row blocks on the worker pool, and each step's graph is freed
-before the next one is built. Validation runs the
-forward pass without the autodiff graph, in row blocks, and its Spearman
-drives model selection: the returned parameters are the ones from the best
-validation epoch. Everything is reproducible from (seed, config, data),
-whatever the number of worker threads.
+variant each batch forward also needs the encodings of the current anchor
+members, which in practice cover the whole training pool. The call keeps a
+``model.History`` of every pool protein's latest encoding. The first step
+encodes the pool; every later step encodes only the batch, a sample of
+about one encode block of the pool that it backpropagates, drawn anew each
+step, and any member the history does not hold yet, and reads the rest of
+the pool from the history (``model.build_forward``). Steps write the rows
+they encode, and each epoch's validation writes the pool rows it encodes;
+every pool row is in one batch per epoch, so the values read are about an
+epoch old at most. A pool whose rows outside the batch fit one encode block
+backpropagates every row and reads nothing, so its training is bitwise that
+without a history, as is every evolgnn and evolformer run.
+
+A step encodes and backpropagates its proteins in row blocks on the worker
+pool, and each step's graph is freed before the next one is built.
+Validation runs the forward pass without the autodiff graph, in row blocks,
+and never reads the history; its Spearman drives model selection: the
+returned parameters are the ones from the best validation epoch. Each
+epoch's log record gives the mean proteins a step encoded and read from the
+history. Everything is reproducible from (seed, config, data), whatever the
+number of worker threads.
 """
 
 from __future__ import annotations
@@ -23,7 +34,14 @@ import numpy as np
 
 from .data import Family, Graph, SplitAssignment, check_field_types, check_known_keys
 from .evaluation import spearman_or_none
-from .model import ModelConfig, ModelParams, build_forward, init_params, mse_loss
+from .model import (
+    History,
+    ModelConfig,
+    ModelParams,
+    build_forward,
+    init_params,
+    mse_loss,
+)
 from .residue_encoder import NumericsError
 
 
@@ -121,6 +139,8 @@ class EpochStats:
     train_loss: float
     valid_rho: float | None
     seconds: float
+    encoded_rows: float  # per step, the mean proteins encoded
+    cached_rows: float  # and read from the history
 
     def to_json(self) -> dict:
         return {
@@ -128,6 +148,8 @@ class EpochStats:
             "train_loss": self.train_loss,
             "valid_rho": self.valid_rho,
             "seconds": round(self.seconds, 6),
+            "encoded_rows": self.encoded_rows,
+            "cached_rows": self.cached_rows,
         }
 
 
@@ -183,12 +205,17 @@ def train(
     best_rho = -np.inf
     stall = 0
     step = 0
+    history = (
+        History.empty(len(train_ids), model_config)
+        if model_config.variant == "evolmpnn"
+        else None
+    )
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for epoch in range(train_config.epochs):
             started = time.perf_counter()
             order = rng.permutation(len(train_rows))
-            losses = []
+            losses, encoded, cached = [], [], []
             for lo in range(0, len(order), train_config.batch_size):
                 # Sorting keeps the loss independent of shuffle order within
                 # a batch; membership is what the shuffle decides.
@@ -203,6 +230,7 @@ def train(
                         train_ids=train_ids,
                         anchor_draw=step,
                         graph=graph,
+                        history=history,
                     )
                     loss = mse_loss(fg.y_hat, y_std[batch])
                 except NumericsError as err:
@@ -217,6 +245,8 @@ def train(
                     )
                 loss.backward()
                 optimiser.step(params.tensors, fg.grads())
+                encoded.append(fg.encoded_rows)
+                cached.append(fg.cached_rows)
                 # The spent graph would otherwise live through the next
                 # step's forward, doubling its peak.
                 del fg, loss
@@ -232,6 +262,7 @@ def train(
                     anchor_draw=0,
                     graph=graph,
                     grad=False,
+                    history=history,
                 )
             except NumericsError as err:
                 raise TrainingError(
@@ -244,6 +275,8 @@ def train(
                 train_loss=float(np.mean(losses)),
                 valid_rho=rho,
                 seconds=time.perf_counter() - started,
+                encoded_rows=float(np.mean(encoded)),
+                cached_rows=float(np.mean(cached)),
             )
             report.epochs.append(stats)
             if log_fh:

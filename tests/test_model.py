@@ -8,16 +8,19 @@ import pytest
 from evolmpnn import autodiff as ad
 from evolmpnn import data
 from evolmpnn import model as model_module
+from evolmpnn import training
 from evolmpnn.data import (
     Family,
     LandscapeSpec,
     ProteinRecord,
+    SplitAssignment,
     knn_graph,
     split_lambda_vs_rest,
     synth_family,
 )
 from evolmpnn.evolution import sample_anchor_sets
 from evolmpnn.model import (
+    History,
     ModelConfig,
     Prediction,
     build_forward,
@@ -25,6 +28,7 @@ from evolmpnn.model import (
     init_params,
     mse_loss,
 )
+from evolmpnn.training import TrainConfig, train
 from gradcheck import gradient_check
 from test_evaluation import paper_scale_family, traced_peak
 from test_evolution import naive_evolmpnn
@@ -478,6 +482,120 @@ class TestSampledAnchorGradients:
         mean_error = np.linalg.norm(np.mean(grads, axis=0) - exact) / np.linalg.norm(exact)
         assert np.median(errors) > 0
         assert mean_error < 0.25 * np.median(errors), (mean_error, np.median(errors))
+
+
+def history_case(dtype="float64", l_p=1):
+    """A 48-protein family, its 40-protein anchor pool, a batch of 8 pool
+    rows, the 8 rows outside the pool, a config and parameters."""
+    rng = np.random.default_rng(31)
+    spec = LandscapeSpec(
+        n=6, m=48, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=31
+    )
+    fam = synth_family(spec)
+    pool_ids = [rid for i, rid in enumerate(fam.ids) if i % 6]
+    config = tiny_config(l_p=l_p, heads=1, d_head=4, dtype=dtype)
+    params = init_params(config, fam.n, seed=32)
+    batch = [i for i in range(fam.m) if i % 6][::5]
+    outside = list(range(0, fam.m, 6))
+    return fam, pool_ids, batch, outside, config, params
+
+
+class TestHistory:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("l_p", [1, 2])
+    def test_step_reading_current_encodings_matches_a_step_without_it(
+        self, monkeypatch, dtype, l_p
+    ):
+        fam, pool_ids, batch, outside, config, params = history_case(dtype, l_p)
+        # Blocks of 2 proteins: q = 8 / 32, so most other pool rows carry
+        # no gradients.
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * 64 * fam.n**2)
+        history = History.empty(len(pool_ids), config)
+        # Validation at the same parameters writes every pool row it encodes.
+        build_forward(
+            fam, params, config, rows=outside, train_ids=pool_ids, grad=False, history=history
+        )
+        assert history.held.all()
+
+        def step(**kw):
+            fg = build_forward(
+                fam, params, config, rows=batch, train_ids=pool_ids, anchor_draw=3, **kw
+            )
+            loss = mse_loss(fg.y_hat, fam.targets[batch])
+            loss.backward()
+            return fg, loss.data.tobytes(), {k: g.tobytes() for k, g in fg.grads().items()}
+
+        plain, plain_loss, plain_grads = step()
+        read, read_loss, read_grads = step(history=history)
+        assert plain.cached_rows == 0 and read.cached_rows > 16
+        assert read.encoded_rows + read.cached_rows == plain.encoded_rows
+        assert read_loss == plain_loss
+        assert read_grads == plain_grads
+
+    def test_validation_and_forward_never_read_it(self):
+        fam, pool_ids, batch, outside, config, params = history_case()
+        kw = dict(rows=outside, train_ids=pool_ids)
+        history = History.empty(len(pool_ids), config)
+        history.values[:] = np.nan
+        history.held[:] = True
+        expected = build_forward(fam, params, config, grad=False, **kw)
+        got = build_forward(fam, params, config, grad=False, history=history, **kw)
+        pred = forward(fam, params, config, **kw)
+        assert got.cached_rows == 0
+        for z, y_hat in ((got.z.data, got.y_hat.data), (pred.z, pred.y_hat)):
+            assert z.tobytes() == expected.z.data.tobytes()
+            assert y_hat.tobytes() == expected.y_hat.data.tobytes()
+        # What validation encodes, it writes.
+        assert np.isfinite(history.values).all()
+
+    def test_a_history_of_another_shape_is_rejected(self):
+        fam, pool_ids, batch, outside, config, params = history_case()
+        history = History.empty(len(pool_ids) - 1, config)
+        with pytest.raises(ValueError, match="history holds"):
+            build_forward(fam, params, config, rows=batch, train_ids=pool_ids, history=history)
+
+    def test_rows_encoded_per_step_do_not_grow_with_the_pool(self, monkeypatch):
+        # M = 1,056, N = 32: encode blocks of 64 proteins, 32-row batches.
+        fam = paper_scale_family(1056)
+        config = ModelConfig(variant="evolmpnn", d=8, heads=1, l_r=1, l_p=1, dtype="float32")
+        block = data._block_rows(64 * fam.n**2)
+        assert block == 64
+        encoded = []
+        encode = model_module._encode_rows
+
+        def counting(family, active, leaves, config):
+            encoded.append(len(active))
+            return encode(family, active, leaves, config)
+
+        monkeypatch.setattr(model_module, "_encode_rows", counting)
+
+        def rows_per_step(pool):
+            tags = {rid: "train" if i < pool else "test" for i, rid in enumerate(fam.ids)}
+            for rid in fam.ids[pool : pool + 16]:
+                tags[rid] = "valid"
+            steps, counted = [], training.build_forward
+
+            def per_step(*args, **kwargs):
+                before = sum(encoded)
+                fg = counted(*args, **kwargs)
+                if kwargs.get("grad", True):
+                    steps.append(sum(encoded) - before)
+                    assert steps[-1] == fg.encoded_rows
+                return fg
+
+            monkeypatch.setattr(training, "build_forward", per_step)
+            _, report = train(
+                fam, SplitAssignment(tags), config, TrainConfig(epochs=1, batch_size=32)
+            )
+            assert report.epochs[0].encoded_rows == np.mean(steps)
+            assert steps[0] >= pool  # the first step encodes the whole pool
+            return np.array(steps[1:])
+
+        small, large = rows_per_step(256), rows_per_step(1024)
+        # The batch plus about one block, drawn; without the history each
+        # step encoded the whole pool.
+        assert abs(large.mean() - small.mean()) <= block, (small, large)
+        assert large.max() < 32 + 3 * block, large
 
 
 class TestSidecarModes:

@@ -170,7 +170,19 @@ class TestTrainLoop:
         )
         lines = [json.loads(line) for line in log.read_text().splitlines()]
         assert len(lines) == len(report.epochs)
-        assert {"epoch", "train_loss", "valid_rho", "seconds"} <= set(lines[0])
+        assert {
+            "epoch",
+            "train_loss",
+            "valid_rho",
+            "seconds",
+            "encoded_rows",
+            "cached_rows",
+        } <= set(lines[0])
+        # The other pool rows fit one encode block, so every step encodes
+        # its batch and the whole pool and reads nothing from the history.
+        pool = len(split.rows(fam, "train"))
+        assert all(line["cached_rows"] == 0 for line in lines)
+        assert all(line["encoded_rows"] == pool for line in lines)
 
     def test_missing_validation_rows_rejected(self):
         fam, split = small_problem()
