@@ -187,7 +187,6 @@ def evolmpnn_layer(
     r_bar: ad.Tensor,
     members: list[np.ndarray],
     w_combine: ad.Tensor,
-    carried: np.ndarray | None = None,
 ) -> ad.Tensor:
     """Anchor-set message passing: mean message, concat, combine.
 
@@ -199,34 +198,17 @@ def evolmpnn_layer(
     are bitwise equal to the product with the dense membership matrix. The
     mean over anchor messages H_j * (r_i - a_j) distributes into two rank-1
     terms, which avoids materializing the (M, k, d) message block; tests pin
-    this against the literal per-anchor loop.
-
-    ``carried`` gives, per row, the probability pi_i with which the row was
-    drawn to carry gradients, 0 where it carries none (default: 1 for
-    every row). A set mean is ``exact + (sampled - constant(sampled))``:
-    ``exact`` sums the values of all members, and ``sampled`` only the
-    members that carry gradients, weighted 1/(|S_j| * pi_i). The bracket is
-    exactly 0, so the value is bitwise the exact mean, and the gradient
-    reaching the rows is that of the exact mean in expectation (the control
-    variate of VR-GCN, Chen, Zhu & Song, 2018). With every pi_i = 1 it is
-    the exact gradient.
+    this against the literal per-anchor loop. Rows whose encodings carry no
+    gradients enter the sums as they are; ``model.build_forward`` weights
+    the gradients of the sampled rows.
     """
     k, dtype = len(members), h.data.dtype
     sizes = np.array([len(rows) for rows in members])
     dst = np.repeat(np.arange(k), sizes)
     src = np.concatenate(members)
     weight = np.repeat((1.0 / sizes).astype(dtype), sizes)
-    pi = np.ones(len(src)) if carried is None else carried[src]
-    drawn = pi > 0
-    drawn_weight = (weight[drawn] / pi[drawn]).astype(dtype)
-
-    def set_means(x):
-        exact = ad.neighbor_sum(ad.constant(x.data), dst, src, k, weight)
-        sampled = ad.neighbor_sum(x, dst[drawn], src[drawn], k, drawn_weight)
-        return ad.add(exact, ad.sub(sampled, ad.constant(sampled.data)))
-
-    anchor_h = set_means(h)
-    anchor_r = set_means(r_bar)
+    anchor_h = ad.neighbor_sum(h, dst, src, k, weight)
+    anchor_r = ad.neighbor_sum(r_bar, dst, src, k, weight)
     mean_h = ad.mean_over(anchor_h, axis=0)
     mean_cross = ad.mean_over(ad.mul(anchor_h, anchor_r), axis=0)
     h_hat = ad.sub(ad.mul(r_bar, mean_h), mean_cross)

@@ -7,21 +7,23 @@ protein embedding and the mean-pooled residues.
 
 The anchor-based variant needs the rows it is asked about plus the union
 of every layer's anchor members. Every cycle of inclusion probabilities has
-a p = 1/2 set, so that union is in practice the whole training pool. A
-training step backpropagates only the batch and a keyed random sample of
-about one encode block of the other rows, drawn anew each step; each set
-mean keeps its exact value while its gradient comes from the sample
-(``evolution.evolmpnn_layer``). The rest of the pool carries no gradient.
-``training.train`` keeps a ``History`` of each pool row's latest encoding:
-its first step encodes the rest of the pool without a graph, and every
-later step reads it from the history, refreshed by the rows that steps and
-validation encode, so a step encodes about its batch plus one block,
-whatever the pool size. Inference never reads the history. Anchor sets
-come back as positions into the pool, which ``build_forward`` maps to
+a p = 1/2 set, so that union is in practice the whole training pool. Anchor
+sets come back as positions into the pool, which ``build_forward`` maps to
 family rows once; the layer sums each set's rows with the edge-list op
 ``autodiff.neighbor_sum``, in edge blocks, so no k x M membership matrix
 is formed. The graph and all-pairs variants are transductive and always
 compute over every record.
+
+In every variant a training step backpropagates only the batch and a keyed
+random sample of about one encode block of the other rows, drawn anew each
+step (``_gradient_rows``). A sampled row's encoding keeps its value while
+its gradient is weighted by the inverse of its draw probability, so the
+step's gradient is unbiased; the other rows carry no gradient.
+``training.train`` keeps a ``History`` of each protein's latest encoding:
+its first step encodes the other rows without a graph, and every later step
+reads them from the history, refreshed by the rows that steps and
+validation encode, so a step encodes about its batch plus one block,
+whatever the family or pool size. Inference never reads the history.
 
 The all-pairs variant's last evolution layer attends only from the rows it
 is asked about, so a training step's last layer is O(B * M).
@@ -230,6 +232,7 @@ class ForwardGraph:
     leaves: dict[str, ad.Tensor]
     encoded_rows: int  # proteins passed to the encoder
     cached_rows: int  # proteins read from a History instead
+    carried_rows: int  # proteins whose encoding carries gradients
 
     def grads(self) -> dict[str, np.ndarray]:
         return {
@@ -241,20 +244,20 @@ class ForwardGraph:
 
 @dataclass
 class History:
-    """The (r_bar, h) each anchor-pool protein was last encoded to.
+    """The (r_bar, h) each protein of a family was last encoded to.
 
-    ``values`` holds one row per pool protein, in ascending family-row
-    order, 2d wide ([r_bar, h]) in the model dtype; ``held`` marks the rows
-    written so far. ``training.train`` keeps one for the length of a call.
+    ``values`` holds one row per family row, 2d wide ([r_bar, h]) in the
+    model dtype; ``held`` marks the rows written so far. ``training.train``
+    keeps one for the length of a call.
     """
 
     values: np.ndarray
     held: np.ndarray
 
     @classmethod
-    def empty(cls, pool_size: int, config: ModelConfig) -> "History":
-        values = np.zeros((pool_size, 2 * config.d), dtype=config.np_dtype)
-        return cls(values, np.zeros(pool_size, dtype=bool))
+    def empty(cls, m: int, config: ModelConfig) -> "History":
+        values = np.zeros((m, 2 * config.d), dtype=config.np_dtype)
+        return cls(values, np.zeros(m, dtype=bool))
 
 
 def _check_inputs(family: Family, params: ModelParams, config: ModelConfig) -> None:
@@ -325,31 +328,25 @@ def _pool_rows(family: Family, train_ids) -> np.ndarray:
 
 
 def _gradient_rows(
-    family: Family,
-    active: np.ndarray,
-    requested: list[int],
-    pool_rows: np.ndarray,
-    pool_ids: list[str],
-    draw: int,
-    seed: int,
+    family: Family, active: np.ndarray, requested: list[int], draw: int, seed: int
 ) -> np.ndarray:
     """Per ``active`` row, the probability with which it carries gradients in
     training step ``draw``, or 0 where the draw left it out.
 
-    Every requested row carries them. Each of the r other rows, all of them
-    pool rows, does with probability q = min(1, b / r), b being the larger of
-    the requested row count and the rows of one encode block, so a step
-    backpropagates the batch plus about one block, and a pool whose other
-    rows fit one block keeps every row (q = 1). The draw runs over the whole
-    pool, whose id keys are kept between calls, and is read at the others.
+    Every requested row carries them. Each of the r other rows does with
+    probability q = min(1, b / r), b being the larger of the requested row
+    count and the rows of one encode block, so a step backpropagates the
+    batch plus about one block, and a step whose other rows fit one block
+    keeps every row (q = 1). The draw runs over every family id, whose keys
+    are kept between calls, and is read at the others.
     """
     batch = np.isin(active, requested)
     others = active[~batch]
     b = max(int(batch.sum()), _block_rows(LOGIT_BYTES * family.n**2))
     q = min(1.0, b / len(others)) if len(others) else 1.0
     prob = np.ones(len(active))
-    drawn = sample_gradient_rows(pool_ids, q, draw, seed=seed)
-    prob[~batch] = np.where(drawn[np.searchsorted(pool_rows, others)], q, 0.0)
+    drawn = sample_gradient_rows(family.ids, q, draw, seed=seed)
+    prob[~batch] = np.where(drawn[others], q, 0.0)
     return prob
 
 
@@ -372,21 +369,28 @@ def build_forward(
     65,536 // M rows, on W worker threads, one per usable CPU. Training
     passes ``grad=True``: the leaves require gradients, every op records a
     backward closure that keeps only the arrays it reads, and each block
-    keeps its graph until backward, which also runs per block. evolmpnn
+    keeps its graph until backward, which also runs per block. A step
     encodes with such leaves only the requested rows and the rows that
     ``anchor_draw`` samples (``_gradient_rows``), and the other active rows
-    with constant leaves. Inference and validation pass ``grad=False``: the
-    leaves are constants, so no graph is kept, and memory is
-    O(W * block * N^2 + W * block * M + M * d).
+    with constant leaves. Each sampled row's encoding e, drawn with
+    probability pi < 1, enters the evolution layers as
+    ``c + (e - c) * (1 / pi)`` with ``c = constant(e.data)``: the value is
+    bitwise e, and the gradient reaching the parameters through the encoder
+    is that of a step that backpropagates every row, in expectation over
+    the draw, for every variant and any ``l_p`` (the estimator of VR-GCN,
+    Chen, Zhu & Song, 2018, at the encoder output). Inference and
+    validation pass ``grad=False``: the leaves are constants, so no graph
+    is kept, and memory is O(W * block * N^2 + W * block * M + M * d).
 
-    ``history``, which only ``training.train`` passes, is the anchor pool's
-    ``History``; only evolmpnn touches it. A step with ``grad=True`` reads
-    from it every row that carries no gradients and that it holds, instead
-    of encoding the row, and every call writes the pool rows it encodes, so
-    validation refreshes it too but never reads it. In ``train`` each pool
-    row is encoded at least once an epoch, in its own batch, so the values
-    read are about an epoch old at most. A step that reads nothing, as in a
-    pool whose other rows fit one block, is bitwise one without a history.
+    ``history``, which only ``training.train`` passes, is the family's
+    ``History``. A step with ``grad=True`` reads from it every row that
+    carries no gradients and that it holds, instead of encoding the row,
+    and every call writes the rows it encodes, so validation refreshes it
+    too but never reads it. In ``train`` each pool row is encoded at least
+    once an epoch, in its own batch, and each validation encodes every
+    evolgnn and evolformer row, so the values read are about an epoch old
+    at most. A step that reads nothing, as in one whose other rows fit one
+    block, is bitwise one without a history.
 
     ``rows`` are family row indices, in any order and possibly repeated;
     each must be an integer in [0, M). ``train_ids``, the anchor pool
@@ -403,17 +407,16 @@ def build_forward(
         for name, value in params.tensors.items()
     }
     requested = list(range(family.m)) if rows is None else _check_rows(rows, family.m)
+    if history is not None and (
+        history.values.shape != (family.m, 2 * config.d) or history.values.dtype != dtype
+    ):
+        raise ValueError(
+            f"history holds {history.values.shape} {history.values.dtype} values, "
+            f"expected {(family.m, 2 * config.d)} {np.dtype(dtype)}"
+        )
 
     if config.variant == "evolmpnn":
         pool_rows = _pool_rows(family, family.ids if train_ids is None else train_ids)
-        if history is not None and (
-            history.values.shape != (len(pool_rows), 2 * config.d)
-            or history.values.dtype != dtype
-        ):
-            raise ValueError(
-                f"history holds {history.values.shape} {history.values.dtype} values, "
-                f"expected {(len(pool_rows), 2 * config.d)} {np.dtype(dtype)}"
-            )
         # Sampled in row order, each set's positions map to ascending rows.
         pool_ids = [family.ids[row] for row in pool_rows]
         resample = config.resample_anchors
@@ -430,16 +433,8 @@ def build_forward(
         ]
         used = np.concatenate([s.member_ids for sets in anchor_sets_per_layer for s in sets])
         active = np.union1d(np.array(requested, dtype=np.int64), pool_rows[used])
-        if grad:
-            carried = _gradient_rows(
-                family, active, requested, pool_rows, pool_ids, anchor_draw, config.anchor_seed
-            )
-        else:
-            carried = np.zeros(len(active))
         # Only members are looked up, and every member row is active.
         active_of_pool = np.searchsorted(active, pool_rows)
-        # Each active row's slot in the history, or -1 outside the pool.
-        slot = np.where(np.isin(active, pool_rows), np.searchsorted(pool_rows, active), -1)
     else:
         if config.variant == "evolgnn":
             if graph is None:
@@ -449,11 +444,13 @@ def build_forward(
                     f"graph has {graph.n_nodes} nodes but the family has {family.m} records"
                 )
         active = np.arange(family.m)
-        carried = np.full(family.m, float(grad))
-        history = None  # only evolmpnn reads or writes it
+    if grad:
+        carried = _gradient_rows(family, active, requested, anchor_draw, config.anchor_seed)
+    else:
+        carried = np.zeros(len(active))
     cached = np.zeros(len(active), dtype=bool)
     if history is not None and grad:
-        cached = (slot >= 0) & (carried == 0) & history.held[slot]
+        cached = (carried == 0) & history.held[active]
     # Rows read from the history come first, then the other rows that carry
     # no gradients, then those that do, each group in ascending order;
     # ``position`` maps an index into ``active`` to its row of ``encoded``.
@@ -469,7 +466,7 @@ def build_forward(
         order, np.cumsum(np.bincount(group, minlength=3))[:2]
     )
     frozen = {name: ad.constant(leaf.data) for name, leaf in leaves.items()}
-    parts = [ad.constant(history.values[slot[read]])] if len(read) else []
+    parts = [ad.constant(history.values[active[read]])] if len(read) else []
     parts += [
         ad.map_rows(
             lambda lo, hi, own, rows=rows: ad.concat_last(
@@ -482,25 +479,28 @@ def build_forward(
         for rows, own_leaves in ((active[frozen_at], frozen), (active[carried_at], leaves))
         if len(rows)
     ]
+    pi = carried[carried_at]
+    if np.any(pi < 1):  # c + (e - c) / pi: the value of e, the gradient of e / pi
+        e = parts[-1]
+        c = ad.constant(e.data)
+        parts[-1] = ad.add(c, ad.mul(ad.sub(e, c), (1.0 / pi).astype(dtype)[:, None]))
     encoded = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
+    # Back in ascending row order: row i is ``active[i]``, as the graph's
+    # edge list and the anchor positions expect.
+    encoded = ad.take_rows(encoded, position)
     if history is not None:
-        fresh = (slot >= 0) & ~cached
-        history.values[slot[fresh]] = encoded.data[position[fresh]]
-        history.held[slot[fresh]] = True
+        history.values[active[~cached]] = encoded.data[~cached]
+        history.held[active[~cached]] = True
     r_bar, h = ad.split_last(encoded, [config.d, config.d])
 
     # ``active`` is sorted, so a requested row's index is its insertion point.
-    keep = position[np.searchsorted(active, requested)]
+    keep = np.searchsorted(active, requested)
     for layer in range(config.l_p):
         prefix = f"evo{layer}"
         if config.variant == "evolmpnn":
             # Members keep their ascending row order, which fixes each set's sums.
-            members = [
-                position[active_of_pool[s.member_ids]] for s in anchor_sets_per_layer[layer]
-            ]
-            h = evolmpnn_layer(
-                h, r_bar, members, leaves[f"{prefix}.combine"], carried[order]
-            )
+            members = [active_of_pool[s.member_ids] for s in anchor_sets_per_layer[layer]]
+            h = evolmpnn_layer(h, r_bar, members, leaves[f"{prefix}.combine"])
         elif config.variant == "evolgnn":
             h = evolgnn_layer(
                 h,
@@ -530,6 +530,7 @@ def build_forward(
         leaves=leaves,
         encoded_rows=len(active) - len(read),
         cached_rows=len(read),
+        carried_rows=len(carried_at),
     )
 
 

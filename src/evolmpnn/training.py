@@ -1,27 +1,29 @@
 """Optimisation loop: Adam, target standardization, early stopping.
 
-Training shuffles the train rows into mini-batches; for the anchor-based
-variant each batch forward also needs the encodings of the current anchor
-members, which in practice cover the whole training pool. The call keeps a
-``model.History`` of every pool protein's latest encoding. The first step
-encodes the pool; every later step encodes only the batch, a sample of
-about one encode block of the pool that it backpropagates, drawn anew each
-step, and any member the history does not hold yet, and reads the rest of
-the pool from the history (``model.build_forward``). Steps write the rows
-they encode, and each epoch's validation writes the pool rows it encodes;
-every pool row is in one batch per epoch, so the values read are about an
-epoch old at most. A pool whose rows outside the batch fit one encode block
-backpropagates every row and reads nothing, so its training is bitwise that
-without a history, as is every evolgnn and evolformer run.
+Training shuffles the train rows into mini-batches. Each batch forward
+also needs the encodings of other proteins: for the anchor-based variant
+those of the current anchor members, which in practice cover the whole
+training pool, and for the graph and all-pairs variants those of the whole
+family. The call keeps a ``model.History`` of every protein's latest
+encoding. The first step encodes every row it needs; every later step
+encodes only the batch, a sample of about one encode block of the other
+rows that it backpropagates, drawn anew each step, and any row the history
+does not hold yet, and reads the rest from the history
+(``model.build_forward``). Steps write the rows they encode, and each
+epoch's validation writes the rows it encodes; every pool row is in one
+batch per epoch, and validation encodes every row of the transductive
+variants, so the values read are about an epoch old at most. A step whose
+rows outside the batch fit one encode block backpropagates every row and
+reads nothing, so a run of such steps is bitwise one without a history.
 
 A step encodes and backpropagates its proteins in row blocks on the worker
 pool, and each step's graph is freed before the next one is built.
 Validation runs the forward pass without the autodiff graph, in row blocks,
 and never reads the history; its Spearman drives model selection: the
 returned parameters are the ones from the best validation epoch. Each
-epoch's log record gives the mean proteins a step encoded and read from the
-history. Everything is reproducible from (seed, config, data), whatever the
-number of worker threads.
+epoch's log record gives the mean proteins a step encoded, read from the
+history and backpropagated. Everything is reproducible from (seed, config,
+data), whatever the number of worker threads.
 """
 
 from __future__ import annotations
@@ -141,6 +143,7 @@ class EpochStats:
     seconds: float
     encoded_rows: float  # per step, the mean proteins encoded
     cached_rows: float  # and read from the history
+    carried_rows: float  # and backpropagated
 
     def to_json(self) -> dict:
         return {
@@ -150,6 +153,7 @@ class EpochStats:
             "seconds": round(self.seconds, 6),
             "encoded_rows": self.encoded_rows,
             "cached_rows": self.cached_rows,
+            "carried_rows": self.carried_rows,
         }
 
 
@@ -205,17 +209,13 @@ def train(
     best_rho = -np.inf
     stall = 0
     step = 0
-    history = (
-        History.empty(len(train_ids), model_config)
-        if model_config.variant == "evolmpnn"
-        else None
-    )
+    history = History.empty(family.m, model_config)
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for epoch in range(train_config.epochs):
             started = time.perf_counter()
             order = rng.permutation(len(train_rows))
-            losses, encoded, cached = [], [], []
+            losses, encoded, cached, carried = [], [], [], []
             for lo in range(0, len(order), train_config.batch_size):
                 # Sorting keeps the loss independent of shuffle order within
                 # a batch; membership is what the shuffle decides.
@@ -247,6 +247,7 @@ def train(
                 optimiser.step(params.tensors, fg.grads())
                 encoded.append(fg.encoded_rows)
                 cached.append(fg.cached_rows)
+                carried.append(fg.carried_rows)
                 # The spent graph would otherwise live through the next
                 # step's forward, doubling its peak.
                 del fg, loss
@@ -277,6 +278,7 @@ def train(
                 seconds=time.perf_counter() - started,
                 encoded_rows=float(np.mean(encoded)),
                 cached_rows=float(np.mean(cached)),
+                carried_rows=float(np.mean(carried)),
             )
             report.epochs.append(stats)
             if log_fh:

@@ -368,7 +368,8 @@ class TestEvolformerMemory:
 
     def test_training_step_last_layer_attends_from_the_batch(self):
         # Before the last layer attended only from the batch, this step
-        # peaked at about 440 MB; it now peaks at 17 MB traced.
+        # peaked at about 440 MB; it peaked at 17 MB traced, and at 11 MB
+        # since it backpropagates only a sample of about half the rows.
         fam = paper_scale_family(2048, n=8)
         config = ModelConfig(variant="evolformer", d=8, heads=1, l_r=1, l_p=1)
         params = init_params(config, fam.n, seed=0)
@@ -394,7 +395,9 @@ class TestEvolformerMemory:
         # them, and backward frees each block's in turn. With one graph over
         # all M query rows these steps peaked at 366 MB and 342 MB traced;
         # with the blocks, 234 MB and 295 MB; with every op keeping only
-        # what its backward reads, 53 MB and 223 MB.
+        # what its backward reads, 53 MB and 223 MB; with about half the
+        # rows backpropagated at M = 2,048 (all of them at M = 512, where
+        # q = 1), 47 MB and 223 MB.
         spec = LandscapeSpec(n=8, m=m, max_mutations=4, additive=np.zeros((8, 20)), seed=0)
         fam = synth_family(spec)
         config = ModelConfig(variant="evolformer", d=d, heads=heads, l_r=1, l_p=2)
@@ -454,19 +457,21 @@ class TestEvolmpnnMemory:
 
 class TestSampledAnchorGradients:
     @pytest.mark.parametrize("l_p", [1, 2])
-    def test_gradient_over_draws_averages_to_the_exact_one(self, monkeypatch, l_p):
+    @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
+    def test_gradient_over_draws_averages_to_the_exact_one(self, monkeypatch, variant, l_p):
         rng = np.random.default_rng(21)
         spec = LandscapeSpec(
             n=6, m=48, max_mutations=3, additive=rng.normal(size=(6, 20)), epistasis=[], seed=21
         )
         fam = synth_family(spec)
         # Frozen anchor sets, so only the gradient-row draw varies with the step.
-        config = tiny_config(l_p=l_p, heads=1, d_head=4, resample_anchors=False)
+        config = tiny_config(variant, l_p=l_p, heads=1, d_head=4, resample_anchors=False)
         params = init_params(config, fam.n, seed=22)
+        graph = knn_graph(fam, k=3) if variant == "evolgnn" else None
         batch = list(range(0, fam.m, 6))
 
         def step(draw):
-            fg = build_forward(fam, params, config, rows=batch, anchor_draw=draw)
+            fg = build_forward(fam, params, config, rows=batch, anchor_draw=draw, graph=graph)
             loss = mse_loss(fg.y_hat, fam.targets[batch])
             loss.backward()
             grads = fg.grads()
@@ -484,7 +489,7 @@ class TestSampledAnchorGradients:
         assert mean_error < 0.25 * np.median(errors), (mean_error, np.median(errors))
 
 
-def history_case(dtype="float64", l_p=1):
+def history_case(dtype="float64", l_p=1, variant="evolmpnn"):
     """A 48-protein family, its 40-protein anchor pool, a batch of 8 pool
     rows, the 8 rows outside the pool, a config and parameters."""
     rng = np.random.default_rng(31)
@@ -493,7 +498,7 @@ def history_case(dtype="float64", l_p=1):
     )
     fam = synth_family(spec)
     pool_ids = [rid for i, rid in enumerate(fam.ids) if i % 6]
-    config = tiny_config(l_p=l_p, heads=1, d_head=4, dtype=dtype)
+    config = tiny_config(variant, l_p=l_p, heads=1, d_head=4, dtype=dtype)
     params = init_params(config, fam.n, seed=32)
     batch = [i for i in range(fam.m) if i % 6][::5]
     outside = list(range(0, fam.m, 6))
@@ -506,36 +511,35 @@ class TestHistory:
     def test_step_reading_current_encodings_matches_a_step_without_it(
         self, monkeypatch, dtype, l_p
     ):
-        fam, pool_ids, batch, outside, config, params = history_case(dtype, l_p)
-        # Blocks of 2 proteins: q = 8 / 32, so most other pool rows carry
-        # no gradients.
-        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * 64 * fam.n**2)
-        history = History.empty(len(pool_ids), config)
-        # Validation at the same parameters writes every pool row it encodes.
-        build_forward(
-            fam, params, config, rows=outside, train_ids=pool_ids, grad=False, history=history
-        )
-        assert history.held.all()
+        # Blocks of 2 proteins: q = 8 / 32 for evolmpnn's pool and 8 / 40
+        # for the whole family, so most other rows carry no gradients.
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * 64 * 6**2)
+        for variant in model_module.VARIANTS:
+            fam, pool_ids, batch, outside, config, params = history_case(dtype, l_p, variant)
+            kw = dict(train_ids=pool_ids, graph=knn_graph(fam, k=3))
+            history = History.empty(fam.m, config)
+            # Validation at the same parameters writes every row it encodes.
+            build_forward(fam, params, config, rows=outside, grad=False, history=history, **kw)
+            assert history.held.all()
 
-        def step(**kw):
-            fg = build_forward(
-                fam, params, config, rows=batch, train_ids=pool_ids, anchor_draw=3, **kw
-            )
-            loss = mse_loss(fg.y_hat, fam.targets[batch])
-            loss.backward()
-            return fg, loss.data.tobytes(), {k: g.tobytes() for k, g in fg.grads().items()}
+            def step(**more):
+                fg = build_forward(fam, params, config, rows=batch, anchor_draw=3, **kw, **more)
+                loss = mse_loss(fg.y_hat, fam.targets[batch])
+                loss.backward()
+                return fg, loss.data.tobytes(), {k: g.tobytes() for k, g in fg.grads().items()}
 
-        plain, plain_loss, plain_grads = step()
-        read, read_loss, read_grads = step(history=history)
-        assert plain.cached_rows == 0 and read.cached_rows > 16
-        assert read.encoded_rows + read.cached_rows == plain.encoded_rows
-        assert read_loss == plain_loss
-        assert read_grads == plain_grads
+            plain, plain_loss, plain_grads = step()
+            read, read_loss, read_grads = step(history=history)
+            assert plain.cached_rows == 0 and read.cached_rows > 16, variant
+            assert read.encoded_rows + read.cached_rows == plain.encoded_rows
+            assert read.carried_rows == plain.carried_rows < plain.encoded_rows - 16
+            assert read_loss == plain_loss, variant
+            assert read_grads == plain_grads, variant
 
     def test_validation_and_forward_never_read_it(self):
         fam, pool_ids, batch, outside, config, params = history_case()
         kw = dict(rows=outside, train_ids=pool_ids)
-        history = History.empty(len(pool_ids), config)
+        history = History.empty(fam.m, config)
         history.values[:] = np.nan
         history.held[:] = True
         expected = build_forward(fam, params, config, grad=False, **kw)
@@ -548,11 +552,19 @@ class TestHistory:
         # What validation encodes, it writes.
         assert np.isfinite(history.values).all()
 
-    def test_a_history_of_another_shape_is_rejected(self):
-        fam, pool_ids, batch, outside, config, params = history_case()
-        history = History.empty(len(pool_ids) - 1, config)
-        with pytest.raises(ValueError, match="history holds"):
-            build_forward(fam, params, config, rows=batch, train_ids=pool_ids, history=history)
+    @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
+    def test_a_history_of_another_shape_is_rejected(self, variant):
+        fam, pool_ids, batch, outside, config, params = history_case(variant=variant)
+        kw = dict(rows=batch, train_ids=pool_ids, graph=knn_graph(fam, k=3))
+        other = ModelConfig(**{**config.to_json(), "dtype": "float32"})
+        for history in (
+            History.empty(len(pool_ids), config),
+            History.empty(fam.m - 1, config),
+            History.empty(fam.m, other),
+        ):
+            with pytest.raises(ValueError, match="history holds"):
+                build_forward(fam, params, config, history=history, **kw)
+        build_forward(fam, params, config, history=History.empty(fam.m, config), **kw)
 
     def test_rows_encoded_per_step_do_not_grow_with_the_pool(self, monkeypatch):
         # M = 1,056, N = 32: encode blocks of 64 proteins, 32-row batches.

@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` wraps functions by module attribute name from
 outside the package; a rename inside the package would silently zero its
-per-layer counters. This runs its ``Tracer`` around one training epoch.
+per-layer counters. This runs its ``Tracer`` around one training epoch of
+each variant, and around evaluation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from evolmpnn import data, evaluation, training
 from evolmpnn.data import LandscapeSpec, split_lambda_vs_rest, synth_family
@@ -97,6 +99,34 @@ def test_tracer_times_evolformer_apart_from_residue_layers(monkeypatch):
     forwards = metrics["model.forward_calls"]
     assert forwards > 0
     assert metrics["residue_encoder.attention_calls"] == config.l_r * forwards
+
+
+@pytest.mark.parametrize("variant", ["evolgnn", "evolformer"])
+def test_tracer_counts_sampled_transductive_steps(monkeypatch, variant):
+    fam, split = small_task()
+    config = ModelConfig(variant=variant, d=8, heads=2, l_r=1, l_p=1, knn_k=3)
+    # Blocks of 2 proteins: each step backpropagates its batch and a sample
+    # of the other rows, and after the first it reads the rest from the
+    # history.
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * 64 * fam.n**2)
+    tracer = load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        graph = data.knn_graph(fam, config.knn_k) if variant == "evolgnn" else None
+        _, report = training.train(
+            fam, split, config, training.TrainConfig(epochs=1, batch_size=8), graph=graph
+        )
+    finally:
+        tracer.uninstall()
+    stats = report.epochs[0]
+    assert stats.cached_rows > 0 and stats.carried_rows < fam.m
+    metrics = tracer.per_layer()
+    for name in (
+        f"evolution.{variant}_layer_s",
+        "model.forward_calls",
+        "residue_encoder.attention_calls",
+    ):
+        assert metrics[name] > 0, name
 
 
 def test_tracer_times_blocked_inference(monkeypatch):

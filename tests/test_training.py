@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from evolmpnn.data import LandscapeSpec, split_lambda_vs_rest, synth_family
+from evolmpnn.data import LandscapeSpec, knn_graph, split_lambda_vs_rest, synth_family
 from evolmpnn.evaluation import evaluate, spearman
 from evolmpnn.model import ModelConfig, build_forward, init_params, mse_loss
 from evolmpnn.training import (
@@ -18,6 +18,7 @@ from evolmpnn.training import (
     train,
 )
 
+from test_acceptance import epistatic_benchmark_family
 from test_evaluation import traced_peak
 
 
@@ -177,12 +178,14 @@ class TestTrainLoop:
             "seconds",
             "encoded_rows",
             "cached_rows",
+            "carried_rows",
         } <= set(lines[0])
         # The other pool rows fit one encode block, so every step encodes
-        # its batch and the whole pool and reads nothing from the history.
+        # its batch and the whole pool, backpropagates them all and reads
+        # nothing from the history.
         pool = len(split.rows(fam, "train"))
         assert all(line["cached_rows"] == 0 for line in lines)
-        assert all(line["encoded_rows"] == pool for line in lines)
+        assert all(line["encoded_rows"] == line["carried_rows"] == pool for line in lines)
 
     def test_missing_validation_rows_rejected(self):
         fam, split = small_problem()
@@ -254,3 +257,20 @@ class TestTrainLoop:
         sigma = params.buffers["target_std"][0]
         expected_mse = np.mean((raw_head * sigma + mu - fam.targets[rows]) ** 2)
         assert metrics.mse == pytest.approx(expected_mse, rel=1e-12)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("variant", ["evolgnn", "evolformer"])
+def test_transductive_variants_learn_the_epistatic_benchmark(variant):
+    # A3's family, protocol and absolute bound. Here every step
+    # backpropagates its batch and a sample of the rest of the family.
+    fam = epistatic_benchmark_family()
+    rhos = []
+    for seed in (0, 1, 2):
+        split = split_lambda_vs_rest(fam, lam=2, valid_frac=0.15, seed=seed)
+        config = ModelConfig(variant=variant, d=24, heads=2, l_r=1, l_p=1, dtype="float64")
+        graph = knn_graph(fam, config.knn_k) if variant == "evolgnn" else None
+        tc = TrainConfig(lr=7e-3, epochs=300, batch_size=32, patience=80, seed=seed)
+        params, _ = train(fam, split, config, tc, graph=graph)
+        rhos.append(evaluate(fam, split, params, config, tag="test", graph=graph).spearman)
+    assert np.mean(rhos) >= 0.60, rhos

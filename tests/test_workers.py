@@ -336,7 +336,9 @@ class TestBlockSizes:
 
     def test_training_encodes_in_the_inference_blocks(self, monkeypatch):
         # A training step encodes in the same 65,536 // N^2 proteins per
-        # block, and its backward runs over the same blocks.
+        # block, and its backward runs over the same blocks. It encodes the
+        # rows that carry no gradients apart from the batch and its sampled
+        # rows, at q = 256 / 298, each group in such blocks.
         fam = paper_scale_family(300, n=16, seed=5)
         config = ModelConfig(variant="evolformer", d=4, heads=1, l_r=1, l_p=1)
         params = init_params(config, fam.n, seed=0)
@@ -350,7 +352,10 @@ class TestBlockSizes:
         monkeypatch.setattr(model, "_encode_rows", counting_encode)
         fg = build_forward(fam, params, config, rows=[0, 1])
         mse_loss(fg.y_hat, fam.targets[:2]).backward()
-        assert sorted(encoded, reverse=True) == [65536 // 16**2, 300 - 65536 // 16**2]
+        assert max(encoded) <= 65536 // 16**2 and sum(encoded) == fg.encoded_rows == 300
+        # Here 267 rows carry gradients: two blocks, and one for the other 33.
+        carried = fg.carried_rows
+        assert sorted(encoded) == sorted([65536 // 16**2, carried - 65536 // 16**2, 300 - carried])
         assert all(np.all(np.isfinite(g)) for g in fg.grads().values())
         assert "res0.ffn_w1" in fg.grads() and "phi_pos" in fg.grads()
 
