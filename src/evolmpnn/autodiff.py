@@ -30,7 +30,6 @@ __all__ = [
     "matmul",
     "transpose_last",
     "concat_last",
-    "concat_rows",
     "split_last",
     "sum_over",
     "mean_over",
@@ -257,29 +256,18 @@ def transpose_last(a: Tensor) -> Tensor:
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:
-    return _concat(parts, -1)
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Concatenation along axis 0."""
-    return _concat(parts, 0)
-
-
-def _concat(parts: list[Tensor], axis: int) -> Tensor:
     parts = [_wrap(p) for p in parts]
     nodes = [p._node for p in parts]
-    widths = [p.data.shape[axis] for p in parts]
-    # The parts' slices of the gradient: ``g[lo:hi]`` or ``g[..., lo:hi]``.
-    lead = () if axis == 0 else (Ellipsis,)
+    widths = [p.data.shape[-1] for p in parts]
 
     def backward(g):
         offset = 0
         for node, w in zip(nodes, widths):
             if node is not None:
-                node.accumulate(g[lead + (slice(offset, offset + w),)])
+                node.accumulate(g[..., offset : offset + w])
             offset += w
 
-    return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(nodes), backward)
+    return _result(np.concatenate([p.data for p in parts], axis=-1), tuple(nodes), backward)
 
 
 def split_last(a: Tensor, widths) -> list[Tensor]:
@@ -419,6 +407,10 @@ def neighbor_sum(a: Tensor, dst, src, n_out: int | None = None, weight=None) -> 
     lexicographic (dst, src) order, forward and backward add each output's
     terms in ascending order of the summed index, as the einsum in
     ``matmul`` does, so results are bitwise equal to it.
+
+    With ``src = arange(k)`` and k distinct ascending ``dst`` rows it is a
+    weighted row scatter: output row ``dst[e]`` is ``weight[e] * a[e]``, the
+    other rows are 0, and the backward gathers ``weight[e] * g[dst[e]]``.
     """
     n_out = a.data.shape[0] if n_out is None else n_out
     data = np.zeros((n_out, a.data.shape[1]), dtype=a.data.dtype)

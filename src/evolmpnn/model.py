@@ -372,15 +372,20 @@ def build_forward(
     keeps its graph until backward, which also runs per block. A step
     encodes with such leaves only the requested rows and the rows that
     ``anchor_draw`` samples (``_gradient_rows``), and the other active rows
-    with constant leaves. Each sampled row's encoding e, drawn with
-    probability pi < 1, enters the evolution layers as
-    ``c + (e - c) * (1 / pi)`` with ``c = constant(e.data)``: the value is
-    bitwise e, and the gradient reaching the parameters through the encoder
-    is that of a step that backpropagates every row, in expectation over
-    the draw, for every variant and any ``l_p`` (the estimator of VR-GCN,
-    Chen, Zhu & Song, 2018, at the encoder output). Inference and
-    validation pass ``grad=False``: the leaves are constants, so no graph
-    is kept, and memory is O(W * block * N^2 + W * block * M + M * d).
+    with constant leaves. The encoder output is a constant table, one row
+    per active row (read from the history, encoded with constant leaves, or
+    the value e of a row encoded with the step's leaves), plus the sampled
+    term ``(e - constant(e.data)) / pi`` that ``autodiff.neighbor_sum``
+    scatters to the carried rows, pi being each one's draw probability (1
+    for the requested rows, and for every row when q = 1). The term is
+    exactly 0, so the values are bitwise the table's, and the gradient
+    reaching the parameters through the encoder is that of a step that
+    backpropagates every row, in expectation over the draw, for every
+    variant and any ``l_p``: the control variate of VR-GCN (Chen, Zhu &
+    Song, 2018) over the historical embeddings of GNNAutoScale (Fey et al.,
+    2021). Inference and validation pass ``grad=False``: the leaves are
+    constants, so no graph is kept, and memory is O(W * block * N^2 +
+    W * block * M + M * d).
 
     ``history``, which only ``training.train`` passes, is the family's
     ``History``. A step with ``grad=True`` reads from it every row that
@@ -451,45 +456,45 @@ def build_forward(
     cached = np.zeros(len(active), dtype=bool)
     if history is not None and grad:
         cached = (carried == 0) & history.held[active]
-    # Rows read from the history come first, then the other rows that carry
-    # no gradients, then those that do, each group in ascending order;
-    # ``position`` maps an index into ``active`` to its row of ``encoded``.
-    # Every row is encoded alone, so its values do not depend on its block or
-    # on whether its leaves require gradients. The second group keeps no
-    # graph, so its blocks' memory is freed before the third one's graph is
-    # built.
-    group = np.where(cached, 0, np.where(carried > 0, 2, 1))
-    order = np.argsort(group, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    read, frozen_at, carried_at = np.split(
-        order, np.cumsum(np.bincount(group, minlength=3))[:2]
-    )
-    frozen = {name: ad.constant(leaf.data) for name, leaf in leaves.items()}
-    parts = [ad.constant(history.values[active[read]])] if len(read) else []
-    parts += [
-        ad.map_rows(
-            lambda lo, hi, own, rows=rows: ad.concat_last(
-                _encode_rows(family, rows[lo:hi], own, config)
+    read = np.flatnonzero(cached)
+    frozen_at = np.flatnonzero(~cached & (carried == 0))
+    carried_at = np.flatnonzero(carried)
+
+    def encode(at, own_leaves) -> ad.Tensor:
+        return ad.map_rows(
+            lambda lo, hi, own: ad.concat_last(
+                _encode_rows(family, active[at[lo:hi]], own, config)
             ),
-            len(rows),
+            len(at),
             LOGIT_BYTES * family.n**2,
             own_leaves,
         )
-        for rows, own_leaves in ((active[frozen_at], frozen), (active[carried_at], leaves))
-        if len(rows)
-    ]
-    pi = carried[carried_at]
-    if np.any(pi < 1):  # c + (e - c) / pi: the value of e, the gradient of e / pi
-        e = parts[-1]
-        c = ad.constant(e.data)
-        parts[-1] = ad.add(c, ad.mul(ad.sub(e, c), (1.0 / pi).astype(dtype)[:, None]))
-    encoded = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
-    # Back in ascending row order: row i is ``active[i]``, as the graph's
-    # edge list and the anchor positions expect.
-    encoded = ad.take_rows(encoded, position)
+
+    # Row i of the table is ``active[i]``, as the graph's edge list and the
+    # anchor positions expect. Every row is encoded alone, so its values do not
+    # depend on its block or on whether its leaves require gradients. Rows
+    # encoded with constant leaves go first: they keep no graph, so their
+    # blocks are freed before the carried rows' graph is built.
+    values = np.empty((len(active), 2 * config.d), dtype=dtype)
+    if len(read):
+        values[read] = history.values[active[read]]
+    if len(frozen_at):
+        frozen = {name: ad.constant(leaf.data) for name, leaf in leaves.items()}
+        values[frozen_at] = encode(frozen_at, frozen).data
+    # The table plus the sampled term (e - constant(e.data)) / pi, scattered
+    # to the carried rows: its value is 0, its gradient that of e / pi.
+    if len(carried_at):
+        e = encode(carried_at, leaves)
+        values[carried_at] = e.data
+        weight = (1.0 / carried[carried_at]).astype(dtype)
+        sampled = ad.sub(e, ad.constant(e.data))
+        index = np.arange(len(carried_at))
+        term = ad.neighbor_sum(sampled, carried_at, index, len(active), weight)
+        encoded = ad.add(ad.constant(values), term)
+    else:
+        encoded = ad.constant(values)
     if history is not None:
-        history.values[active[~cached]] = encoded.data[~cached]
+        history.values[active[~cached]] = values[~cached]
         history.held[active[~cached]] = True
     r_bar, h = ad.split_last(encoded, [config.d, config.d])
 

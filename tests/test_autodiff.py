@@ -183,9 +183,16 @@ class TestNeighborSum:
         check_op(lambda t: ad.neighbor_sum(t[0], dst, src, n_out, weight), 1, [(6, 3)])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n_out", [5, 40, 90])
-    def test_weighted_bitwise_equal_to_dense_einsum(self, n_out, dtype):
+    @pytest.mark.parametrize(
+        "n_out,scatter",
+        [(5, False), (40, False), (90, False), (90, True)],
+        ids=["5", "40", "90", "scatter-90"],
+    )
+    def test_weighted_bitwise_equal_to_dense_einsum(self, n_out, scatter, dtype):
         dst, src, weight = self.weighted_edges(n_out, 40, seed=n_out, dtype=dtype)
+        if scatter:  # row e of the input, weighted, to its own ascending output row
+            dst = np.sort(np.random.default_rng(13).choice(n_out, size=40, replace=False))
+            src, weight = np.arange(40), weight[:40]
         mat = np.zeros((n_out, 40), dtype=dtype)
         mat[dst, src] = weight
         rng = np.random.default_rng(11)

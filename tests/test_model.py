@@ -536,6 +536,31 @@ class TestHistory:
             assert read_loss == plain_loss, variant
             assert read_grads == plain_grads, variant
 
+    @pytest.mark.parametrize("variant", ["evolmpnn", "evolgnn", "evolformer"])
+    def test_sampled_step_writes_back_only_the_rows_it_encodes(self, monkeypatch, variant):
+        # Blocks of 2 proteins: q = 8 / 40 over the whole family as the pool.
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * 64 * 6**2)
+        fam, _, batch, _, config, params = history_case(variant=variant)
+        graph = knn_graph(fam, k=3)
+        fresh = History.empty(fam.m, config)
+        build_forward(fam, params, config, graph=graph, grad=False, history=fresh)
+        # Stale values everywhere; two rows in three held.
+        history = History.empty(fam.m, config)
+        history.values[:] = np.random.default_rng(33).standard_normal(history.values.shape)
+        history.held[:] = np.arange(fam.m) % 3 > 0
+        before, held = history.values.copy(), history.held.copy()
+        fg = build_forward(
+            fam, params, config, rows=batch, anchor_draw=3, graph=graph, history=history
+        )
+        assert fg.encoded_rows + fg.cached_rows == fam.m  # every row is active
+        assert fg.cached_rows > 16 and fg.carried_rows < fg.encoded_rows
+        written = np.array([a.tobytes() != b.tobytes() for a, b in zip(history.values, before)])
+        assert np.count_nonzero(written) == fg.encoded_rows
+        # What a step encodes, it writes as validation would at its parameters.
+        assert history.values[written].tobytes() == fresh.values[written].tobytes()
+        # What it reads, it held and leaves untouched.
+        assert held[~written].all() and history.held.all()
+
     def test_validation_and_forward_never_read_it(self):
         fam, pool_ids, batch, outside, config, params = history_case()
         kw = dict(rows=outside, train_ids=pool_ids)
