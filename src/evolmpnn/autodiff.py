@@ -307,9 +307,10 @@ def mean_over(a: Tensor, axis=None) -> Tensor:
 
 
 def softmax_last(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    # exp and the divide run in place on the fresh shifted array.
+    data = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
     na = a._node
 
     def backward(g):
@@ -320,14 +321,19 @@ def softmax_last(a: Tensor) -> Tensor:
 
 
 def elu(a: Tensor) -> Tensor:
-    positive = a.data > 0
-    # expm1 only sees the negative branch; where() would evaluate it everywhere.
-    data = np.where(positive, a.data, np.expm1(np.minimum(a.data, 0.0)))
+    # expm1 sees only the negative part and adds 0 where x > 0, and the
+    # positive part adds 0 where x <= 0: no mask, and the same bits as a
+    # select, at +-0.0 and subnormals too.
+    data = np.expm1(np.minimum(a.data, 0))
+    data += np.maximum(a.data, 0)
     na = a._node
 
     def backward(g):
-        # For x <= 0 the derivative exp(x) equals elu(x) + 1.
-        na.accumulate(g * np.where(positive, 1.0, data + 1.0))
+        # For x <= 0 the derivative exp(x) equals elu(x) + 1 <= 1; for x > 0
+        # it is 1 and elu(x) > 0.
+        slope = np.minimum(data, 0)
+        slope += 1
+        na.accumulate(g * slope)
 
     return _result(data, (na,), backward)
 
