@@ -6,8 +6,8 @@ output a node with a backward closure, and ``backward()`` walks the nodes
 once in reverse topological order. The graph links nodes, never tensors, and
 a closure saves only the arrays its backward reads, and only for inputs that
 require a gradient: ``matmul`` and ``mul`` keep the other operand; softmax,
-elu, sigmoid and normalization keep their own output (plus elu's mask and
-the inverse standard deviation); sums, slices, concatenation, transposes,
+elu, sigmoid and normalization keep their own output (plus normalization's
+inverse standard deviation); sums, slices, concatenation, transposes,
 gathers and edge sums keep shapes and indices. Every other intermediate is
 freed as soon as the code that made it drops it. Only the operations the
 models need are provided. Everything runs in whatever float dtype the inputs
@@ -218,14 +218,16 @@ def mul(a, b) -> Tensor:
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix product; 2-D inputs avoid BLAS so identical rows of x produce
-    bitwise-identical output rows regardless of their position (BLAS kernels
-    round differently across row blocks). Batched inputs run one GEMM per
-    slice, which is already position-independent."""
+    """Matrix product. A 2-D product makes one BLAS call per row of x, all of
+    the same shape, so an output row depends only on its own input row, and
+    identical rows give bitwise-identical results wherever they sit. One GEMM
+    over all rows would not: its kernels round differently across row blocks.
+    Batched inputs run one GEMM per slice, which is already
+    position-independent."""
     if x.shape[-1] != y.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {x.shape} @ {y.shape}")
     if x.ndim == 2 and y.ndim == 2:
-        return np.einsum("ij,jk->ik", x, y, optimize=False)
+        return np.matmul(x[:, None, :], y)[:, 0, :]
     return np.matmul(x, y)
 
 
@@ -411,8 +413,9 @@ def neighbor_sum(a: Tensor, dst, src, n_out: int | None = None, weight=None) -> 
     This is the product with the n_out x M matrix that holds each edge's
     weight, in O(E * d) time and O(block * d) scratch. With the edges in
     lexicographic (dst, src) order, forward and backward add each output's
-    terms in ascending order of the summed index, as the einsum in
-    ``matmul`` does, so results are bitwise equal to it.
+    terms in ascending order of the summed index, as ``np.einsum``'s
+    sequential product (``optimize=False``) does, so results are bitwise
+    equal to it; ``matmul`` runs on BLAS and is not.
 
     With ``src = arange(k)`` and k distinct ascending ``dst`` rows it is a
     weighted row scatter: output row ``dst[e]`` is ``weight[e] * a[e]``, the

@@ -195,12 +195,12 @@ def evolmpnn_layer(
     set's mean embedding and mean residue summary is a weighted edge sum
     (set j <- member i, weight 1/|S_j| in the model dtype), so it costs
     O(sum |S_j| * d) with no k x M matrix; with ascending members the sums
-    are bitwise equal to the product with the dense membership matrix. The
-    mean over anchor messages H_j * (r_i - a_j) distributes into two rank-1
-    terms, which avoids materializing the (M, k, d) message block; tests pin
-    this against the literal per-anchor loop. Rows whose encodings carry no
-    gradients enter the sums as they are; ``model.build_forward`` weights
-    the gradients of the sampled rows.
+    are bitwise equal to ``np.einsum``'s sequential product with the dense
+    membership matrix. The mean over anchor messages H_j * (r_i - a_j)
+    distributes into two rank-1 terms, which avoids materializing the
+    (M, k, d) message block; tests pin this against the literal per-anchor
+    loop. Rows whose encodings carry no gradients enter the sums as they
+    are; ``model.build_forward`` weights the gradients of the sampled rows.
     """
     k, dtype = len(members), h.data.dtype
     sizes = np.array([len(rows) for rows in members])

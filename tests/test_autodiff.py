@@ -53,6 +53,20 @@ def check_op(build, n_args, shapes, seed=0, atol=1e-7):
         np.testing.assert_allclose(tensors[i].grad, expected, atol=atol)
 
 
+def awkward_values(dtype, shape, seed=0):
+    """Standard normals with +-0.0, subnormals of both signs and values
+    below -80 (where exp underflows in float32) spread through them."""
+    rng = np.random.default_rng(seed)
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array(
+        [-0.0, 0.0, tiny, -tiny, 1000 * tiny, -1000 * tiny, -80.5, -104.0, -750.0, 1e-30, -1e-30],
+        dtype=dtype,
+    )
+    x = rng.standard_normal(shape).astype(dtype).reshape(-1)
+    x[rng.choice(x.size, size=len(special), replace=False)] = special
+    return x.reshape(shape)
+
+
 class TestElementwise:
     def test_add_broadcast(self):
         check_op(lambda t: ad.add(t[0], t[1]), 2, [(3, 4), (4,)])
@@ -69,6 +83,18 @@ class TestElementwise:
     def test_elu(self):
         check_op(lambda t: ad.elu(t[0]), 1, [(4, 5)])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_bitwise_equal_to_masked_select(self, dtype):
+        x = awkward_values(dtype, (3, 41))
+        g = np.random.default_rng(1).standard_normal(x.shape).astype(dtype)
+        leaf = ad.Tensor(x, requires_grad=True)
+        out = ad.elu(leaf)
+        ad.sum_over(ad.mul(out, ad.constant(g))).backward()
+        expected = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+        expected_grad = g * np.where(x > 0, 1.0, expected + 1.0)
+        assert out.data.dtype == dtype and out.data.tobytes() == expected.tobytes()
+        assert leaf.grad.tobytes() == expected_grad.tobytes()
+
     def test_sigmoid(self):
         check_op(lambda t: ad.sigmoid(t[0]), 1, [(4, 5)])
 
@@ -82,6 +108,31 @@ class TestElementwise:
 class TestMatmul:
     def test_plain_2d(self):
         check_op(lambda t: ad.matmul(t[0], t[1]), 2, [(3, 4), (4, 5)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,k,p", [(37, 33, 17), (64, 256, 32), (9, 5, 1)])
+    def test_2d_rows_bitwise_equal_alone_and_permuted(self, n, k, p, dtype):
+        # One GEMM over all rows rounds differently across its row blocks, so
+        # at float32 (37, 33, 17) a permutation moves rows in their last bits.
+        rng = np.random.default_rng(n)
+        x, g = (rng.standard_normal((n, w)).astype(dtype) for w in (k, p))
+        w = ad.constant(rng.standard_normal((k, p)).astype(dtype))
+
+        def rows(x, g):
+            leaf = ad.Tensor(x, requires_grad=True)
+            out = ad.matmul(leaf, w)
+            ad.sum_over(ad.mul(out, ad.constant(g))).backward()
+            return out.data, leaf.grad
+
+        out, grad = rows(x, g)
+        perm = rng.permutation(n)
+        moved, moved_grad = rows(x[perm], g[perm])
+        assert moved.tobytes() == out[perm].tobytes()
+        assert moved_grad.tobytes() == grad[perm].tobytes()
+        for i in range(n):
+            alone, alone_grad = rows(x[i : i + 1], g[i : i + 1])
+            assert alone.tobytes() == out[i : i + 1].tobytes()
+            assert alone_grad.tobytes() == grad[i : i + 1].tobytes()
 
     def test_batched_times_2d(self):
         check_op(lambda t: ad.matmul(t[0], t[1]), 2, [(2, 3, 4), (4, 5)])
@@ -275,6 +326,20 @@ class TestSoftmaxAndNorm:
 
     def test_softmax_grad(self):
         check_op(lambda t: ad.softmax_last(t[0]), 1, [(3, 5)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_bitwise_equal_to_out_of_place_formula(self, dtype):
+        x = awkward_values(dtype, (4, 37), seed=2)
+        x[3] = awkward_values(dtype, (37,), seed=3) * 0  # a row of +-0.0
+        g = np.random.default_rng(4).standard_normal(x.shape).astype(dtype)
+        leaf = ad.Tensor(x, requires_grad=True)
+        out = ad.softmax_last(leaf)
+        ad.sum_over(ad.mul(out, ad.constant(g))).backward()
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        expected = e / e.sum(axis=-1, keepdims=True)
+        expected_grad = expected * (g - (g * expected).sum(axis=-1, keepdims=True))
+        assert out.data.dtype == dtype and out.data.tobytes() == expected.tobytes()
+        assert leaf.grad.tobytes() == expected_grad.tobytes()
 
     def test_normalize_moments(self):
         rng = np.random.default_rng(4)

@@ -280,6 +280,18 @@ def naive_evolmpnn(h, residues, sets, w):
     return out
 
 
+def dense_product(mat, x):
+    """``mat @ x`` for a constant matrix, forward and backward as
+    ``np.einsum``'s sequential product, which adds each output's terms in
+    ascending order of the summed index (``ad.matmul`` runs on BLAS)."""
+    node = x._node
+
+    def backward(g):
+        node.accumulate(np.einsum("ij,jk->ik", mat.T, g, optimize=False))
+
+    return ad._result(np.einsum("ij,jk->ik", mat, x.data, optimize=False), (node,), backward)
+
+
 def dense_evolmpnn(h, r_bar, members, w_combine):
     """The layer as a product with the dense (k, M) membership matrix, whose
     row j holds 1/|S_j| at set j's members in the model dtype."""
@@ -287,8 +299,8 @@ def dense_evolmpnn(h, r_bar, members, w_combine):
     for j, rows in enumerate(members):
         mat[j, rows] = 1.0
         mat[j] /= len(rows)
-    anchor_h = ad.matmul(ad.constant(mat), h)
-    anchor_r = ad.matmul(ad.constant(mat), r_bar)
+    anchor_h = dense_product(mat, h)
+    anchor_r = dense_product(mat, r_bar)
     mean_h = ad.mean_over(anchor_h, axis=0)
     mean_cross = ad.mean_over(ad.mul(anchor_h, anchor_r), axis=0)
     h_hat = ad.sub(ad.mul(r_bar, mean_h), mean_cross)
