@@ -323,9 +323,9 @@ def softmax_last(a: Tensor) -> Tensor:
 
 
 def elu(a: Tensor) -> Tensor:
-    # expm1 sees only the negative part and adds 0 where x > 0, and the
-    # positive part adds 0 where x <= 0: no mask, and the same bits as a
-    # select, at +-0.0 and subnormals too.
+    # expm1 of the negative part plus the positive part: each term is 0
+    # where the other applies, so no mask is kept, and the bits equal a
+    # select's, at +-0.0 and subnormals too.
     data = np.expm1(np.minimum(a.data, 0))
     data += np.maximum(a.data, 0)
     na = a._node

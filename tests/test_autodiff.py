@@ -55,7 +55,8 @@ def check_op(build, n_args, shapes, seed=0, atol=1e-7):
 
 def awkward_values(dtype, shape, seed=0):
     """Standard normals with +-0.0, subnormals of both signs and values
-    below -80 (where exp underflows in float32) spread through them."""
+    below -80 (where float32's exp turns subnormal, then 0) spread through
+    them."""
     rng = np.random.default_rng(seed)
     tiny = np.finfo(dtype).smallest_subnormal
     special = np.array(
@@ -115,7 +116,7 @@ class TestMatmul:
         # One GEMM over all rows rounds differently across its row blocks, so
         # at float32 (37, 33, 17) a permutation moves rows in their last bits.
         rng = np.random.default_rng(n)
-        x, g = (rng.standard_normal((n, w)).astype(dtype) for w in (k, p))
+        x, g = (rng.standard_normal((n, width)).astype(dtype) for width in (k, p))
         w = ad.constant(rng.standard_normal((k, p)).astype(dtype))
 
         def rows(x, g):
