@@ -220,9 +220,12 @@ def mul(a, b) -> Tensor:
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix product. A 2-D product makes one BLAS call per row of x, all of
     the same shape, so an output row depends only on its own input row, and
-    identical rows give bitwise-identical results wherever they sit. One GEMM
-    over all rows would not: its kernels round differently across row blocks.
-    Batched inputs run one GEMM per slice, which is already
+    identical rows give bitwise-identical results wherever they sit. That
+    holds on a BLAS whose GEMV does not change its summation order with a
+    row's memory alignment (OpenBLAS, as tested; MKL only in its
+    conditional-reproducibility mode); row i starts at byte i*k*itemsize.
+    One GEMM over all rows would not: its kernels round differently across
+    row blocks. Batched inputs run one GEMM per slice, which is already
     position-independent."""
     if x.shape[-1] != y.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {x.shape} @ {y.shape}")
@@ -309,7 +312,8 @@ def mean_over(a: Tensor, axis=None) -> Tensor:
 
 
 def softmax_last(a: Tensor) -> Tensor:
-    # exp and the divide run in place on the fresh shifted array.
+    # data must be a fresh array, never a.data: it is written in place here
+    # and then kept by backward.
     data = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
     data /= data.sum(axis=-1, keepdims=True)

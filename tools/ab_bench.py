@@ -2,7 +2,7 @@
 
     python3 tools/ab_bench.py --base ../parent --change . --pairs 10 --seconds 40
 
-Each pair runs ``perfbench/run.py --workload all --seed <seed>`` once from
+Each pair runs ``perfbench/run.py --workload all --seed 0`` once from
 each checkout, each with its own sources and its own ``perfbench/``. The base
 runs first in even pairs and the change first in odd ones, so a drift in the
 host's speed favours neither side. For every workload and metric the script
@@ -10,7 +10,6 @@ prints each side's median and quartiles, the change in the median, the
 median gap over the base's interquartile range, and how many pairs the
 change won (better in the direction ``BENCHMARK.json`` gives; a tie is not a
 win). Then it prints each side's failed and attempted operations.
-``--json PATH`` also writes every run's result document.
 """
 
 from __future__ import annotations
@@ -23,12 +22,12 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, seed: int, seconds: int, trace: int) -> dict:
+def run_once(checkout: Path, seconds: int, trace: int) -> dict:
     """One ``run.py --workload all``; its last output line, parsed."""
     cmd = [
         sys.executable, str(checkout / "perfbench" / "run.py"),
         "--workload", "all",
-        "--seed", str(seed),
+        "--seed", "0",
         "--seconds", str(seconds),
         "--trace", str(trace),
     ]
@@ -82,10 +81,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
     parser.add_argument("--change", type=Path, required=True, help="checkout with the change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0, help="the workloads' seed, in every run")
     parser.add_argument("--seconds", type=int, default=40)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--json", type=Path, help="write every run's result document here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -95,9 +92,7 @@ def main(argv=None) -> int:
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
             print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr, flush=True)
-            runs[side].append(run_once(sides[side], args.seed, args.seconds, args.trace))
-    if args.json:
-        args.json.write_text(json.dumps(runs, indent=1), encoding="utf-8")
+            runs[side].append(run_once(sides[side], args.seconds, args.trace))
     print("\n".join(summarize(runs["base"], runs["change"], directions(sides["change"]))))
     return 0
 
