@@ -24,6 +24,9 @@ import numpy as np
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 AA_INDEX = {a: i for i, a in enumerate(ALPHABET)}
+# Alphabet index of every byte; bytes outside the alphabet map to 255.
+_CODES = np.full(256, 255, dtype=np.uint8)
+_CODES[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = np.arange(len(ALPHABET))
 
 SPLIT_TAGS = ("train", "valid", "test")
 
@@ -128,10 +131,17 @@ class Family:
         if len(wt) != 1:
             raise FamilyError(f"expected exactly one wild-type record, found {len(wt)}")
         self.wild_type_index = wt[0]
+        # Every residue outside ASCII becomes "?", so there is one byte per
+        # residue; with any byte outside the alphabet, the loop below checks
+        # residues record by record and raises at the first bad record.
+        text = "".join(r.sequence for r in self.records).encode("ascii", "replace")
+        codes = _CODES[np.frombuffer(text, dtype=np.uint8)]
+        valid = not (codes == 255).any()
         for r in self.records:
-            bad = set(r.sequence) - set(ALPHABET)
-            if bad:
-                raise FamilyError(f"invalid residue {sorted(bad)} in record {r.id!r}")
+            if not valid:
+                bad = set(r.sequence) - set(ALPHABET)
+                if bad:
+                    raise FamilyError(f"invalid residue {sorted(bad)} in record {r.id!r}")
             if len(r.target) != 1:
                 raise FamilyError(
                     f"record {r.id!r} has {len(r.target)} target values, expected 1"
@@ -140,9 +150,7 @@ class Family:
                 raise FamilyError(f"non-finite target in record {r.id!r}")
         self._ids = ids
         self._index = {rid: i for i, rid in enumerate(ids)}
-        self._encoded = np.array(
-            [[AA_INDEX[a] for a in r.sequence] for r in self.records], dtype=np.uint8
-        )
+        self._encoded = codes.reshape(self.m, self.n)
         self._targets = np.array([r.target[0] for r in self.records], dtype=np.float64)
         for name, lead in (("protein_feats", (self.m,)), ("residue_feats", (self.m, self.n))):
             feats = getattr(self, name)
@@ -414,10 +422,10 @@ class Graph:
 
 
 # Bytes per block of every blocked loop: the all-pairs helpers (K-NN, Hamming
-# matrix, distortion) and the edge blocks of ``autodiff`` charge their
-# scratch, and the encode and query blocks of ``autodiff.map_rows``, in
-# training and inference alike, ``residue_encoder.LOGIT_BYTES`` per
-# attention logit. Blocks near the CPU caches ran fastest: 64 proteins at
+# matrix, distortion, landmark embedder) and the edge blocks of ``autodiff``
+# charge their scratch, and the encode and query blocks of
+# ``autodiff.map_rows``, in training and inference alike,
+# ``residue_encoder.LOGIT_BYTES`` per attention logit. Blocks near the CPU caches ran fastest: 64 proteins at
 # N = 32 beat larger blocks whose activations no longer fit. ``map_blocks``
 # keeps one block in flight per worker thread, so their scratch is W times
 # this.
@@ -535,21 +543,88 @@ def map_blocks(fn, n_rows: int, bytes_per_row: int, consume=None) -> list | None
     return results
 
 
-def _hamming_rows(encoded: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Hamming distances from rows start..stop-1 to every row."""
-    return (encoded[start:stop, None, :] != encoded[None, :, :]).sum(axis=2)
+# Byte lanes of a uint64 word: the low 7 bits of each, and the low bit of each.
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_LOW1 = np.uint64(0x0101010101010101)
+# Lane counts are folded into one total at least every 31 words: the fold
+# sums the 8 lanes into the top byte, which holds up to 8 * 31 = 248.
+_FOLD_WORDS = 31
+# Scratch per pair of rows of the Hamming kernel: two uint64 words, the
+# uint64 lane counts and the int64 distance (or K-NN key) it returns.
+_HAMMING_BYTES = 32
+# A block of fewer pairs than this takes several words per numpy call,
+# about this many values' worth, so that its calls stay few: at N = 265,
+# distortion's 6-row blocks ran about twice as long with one call per word.
+# Such a block's kernel scratch stays under 40 * _STEP_PAIRS bytes.
+_STEP_PAIRS = 1 << 16
+
+
+def _pack_words(encoded: np.ndarray) -> np.ndarray:
+    """Encoded rows as a (ceil(N / 8), M) uint64 array, 8 residues per
+    word, word t of every row contiguous; the padding bytes are 0 in every
+    row, so they never differ."""
+    m, n = encoded.shape
+    padded = np.zeros((m, -(-n // 8) * 8), dtype=np.uint8)
+    padded[:, :n] = encoded
+    return np.ascontiguousarray(padded.view(np.uint64).T)
+
+
+def _hamming_rows(words: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Hamming distances from rows start..stop-1 to every row, as int64,
+    over the packed words of ``_pack_words``.
+
+    Word by word, the XOR of two rows has a nonzero byte where their
+    residues differ. ``((x & 0x7F..) + 0x7F..) | x`` sets the top bit of
+    exactly those bytes (the sum cannot carry out of a byte), and shifting
+    it to the low bit marks each with 1, added into that byte lane. A lane
+    gains at most 1 per word, so after at most 31 words the 8 lanes sum to
+    at most 248 and one multiply by 0x0101..01 adds them into the top byte
+    without overflow; each fold goes into an int64 total. The result is
+    exact for any N.
+    """
+    n_words, m = words.shape
+    b = stop - start
+    step = max(1, min(_FOLD_WORDS, n_words, _STEP_PAIRS // max(1, b * m)))
+    x, marks = np.empty((2, step, b, m), dtype=np.uint64)
+    lanes = np.empty((b, m), dtype=np.uint64)
+    total = np.zeros((b, m), dtype=np.int64)
+    for first in range(0, n_words, _FOLD_WORDS):
+        last = min(first + _FOLD_WORDS, n_words)
+        lanes.fill(0)
+        for lo in range(first, last, step):
+            hi = min(lo + step, last)
+            xs, ms = x[: hi - lo], marks[: hi - lo]
+            np.bitwise_xor(words[lo:hi, start:stop, None], words[lo:hi, None, :], out=xs)
+            np.bitwise_and(xs, _LOW7, out=ms)
+            ms += _LOW7
+            ms |= xs
+            ms >>= np.uint64(7)
+            ms &= _LOW1
+            lanes += ms[0] if hi == lo + 1 else ms.sum(axis=0)
+        lanes *= _LOW1
+        lanes >>= np.uint64(56)
+        total += lanes.view(np.int64)
+    return total
 
 
 def pairwise_hamming(encoded: np.ndarray) -> np.ndarray:
-    """Dense M x M Hamming distance matrix over encoded sequences."""
-    m, n = encoded.shape
+    """Dense M x M Hamming distance matrix over encoded sequences, an
+    M x N uint8 array such as ``Family.encoded``."""
+    if not (isinstance(encoded, np.ndarray) and encoded.ndim == 2 and encoded.dtype == np.uint8):
+        got = (
+            f"{encoded.shape} {encoded.dtype}"
+            if isinstance(encoded, np.ndarray)
+            else type(encoded).__name__
+        )
+        raise ValueError(f"encoded must be a 2-D uint8 array, got {got}")
+    m = encoded.shape[0]
+    words = _pack_words(encoded)
     out = np.zeros((m, m), dtype=np.int32)
 
     def fill(lo, hi):
-        out[lo:hi] = _hamming_rows(encoded, lo, hi)
+        out[lo:hi] = _hamming_rows(words, lo, hi)
 
-    # Per row: an M x N bool comparison and an M-long int64 row of counts.
-    map_blocks(fill, m, m * (n + 8))
+    map_blocks(fill, m, m * _HAMMING_BYTES)
     return out
 
 
@@ -566,20 +641,23 @@ def knn_graph(family: Family, k: int) -> Graph:
     if k >= m:
         raise ValueError(f"K={k} must be smaller than the family size M={m}")
     index = np.arange(m)
+    words = _pack_words(family.encoded)
     nearest = np.empty((m, k), dtype=np.int64)
 
     def fill(lo, hi):
         # One key per candidate orders by distance, then by record index.
-        key = _hamming_rows(family.encoded, lo, hi) * m + index
+        key = _hamming_rows(words, lo, hi)
+        key *= m
+        key += index
         key[index[: hi - lo], index[lo:hi]] = np.iinfo(np.int64).max  # not self
         nearest[lo:hi] = np.argpartition(key, k - 1, axis=1)[:, :k]
 
-    # Per row: an M x N bool comparison and three M-long int64 rows
-    # (distances, keys, partition).
-    map_blocks(fill, m, m * (family.n + 24))
+    map_blocks(fill, m, m * _HAMMING_BYTES)
     rows, cols = np.repeat(index, k), nearest.reshape(-1)
-    pairs = np.stack([np.concatenate([rows, cols]), np.concatenate([cols, rows])], axis=1)
-    return Graph(n_nodes=m, edges=np.unique(pairs, axis=0))
+    # One key per edge, receiver * M + sender: sorted keys are the edges in
+    # lexicographic order.
+    keys = np.unique(np.concatenate([rows * m + cols, cols * m + rows]))
+    return Graph(n_nodes=m, edges=np.stack(np.divmod(keys, m), axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ALPHABET, Family, Graph, SplitAssignment, _hamming_rows, map_blocks
+from .data import (
+    ALPHABET,
+    _HAMMING_BYTES,
+    Family,
+    Graph,
+    SplitAssignment,
+    _hamming_rows,
+    _pack_words,
+    map_blocks,
+)
 from .evolution import anchor_count, sample_anchor_sets
 from .model import ModelConfig, ModelParams, forward
 
@@ -233,6 +242,7 @@ def distortion(
         raise ValueError("distortion needs a family or a base matrix")
     if emb.shape[0] != m:
         raise ValueError("embedding rows must match the metric space size")
+    words = _pack_words(family.encoded) if family is not None else None
 
     def measure(lo, hi):
         """(worst expansion, worst contraction, pairs, collapsed) of one block."""
@@ -240,7 +250,7 @@ def distortion(
         diffs = emb[lo:hi, None, :] - emb[None, lo:, :]
         emb_dist = np.sqrt(np.square(diffs, out=diffs).sum(axis=2))
         if family is not None:
-            base = _hamming_rows(family.encoded[lo:], 0, hi - lo).astype(np.float64)
+            base = _hamming_rows(words[:, lo:], 0, hi - lo).astype(np.float64)
         else:
             base = base_matrix[lo:hi, lo:]
         keep = (base > 0) & (np.arange(m - lo) > np.arange(hi - lo)[:, None])
@@ -251,8 +261,10 @@ def distortion(
             return 0.0, 0.0, f_base.size, collapsed
         return float(np.max(f_emb / f_base)), float(np.max(f_base / f_emb)), f_base.size, False
 
-    # Per row: an M x D float64 difference block and a few M-long rows.
-    blocks = map_blocks(measure, m, m * 8 * (emb.shape[1] + 8))
+    # Per row: an M x D float64 difference block, the Hamming kernel's
+    # scratch, and four M-long float64 rows: the embedded and base
+    # distances and the kept pairs of each.
+    blocks = map_blocks(measure, m, m * (8 * emb.shape[1] + _HAMMING_BYTES + 32))
     expansion, contraction, pairs, collapsed = zip(*blocks)
     n_pairs = sum(pairs)
     if n_pairs == 0:
@@ -269,6 +281,12 @@ def bourgain_embedding(
 
     Uses the same cycling Bernoulli sampler as the evolution layers, so the
     anchor-count policy and set statistics are shared. ``seed`` must be >= 0.
+
+    Rows are embedded in ``data.map_blocks`` blocks, one per worker thread
+    at a time: each block transposes its own rows of the base matrix, so a
+    set's members are contiguous rows of that copy, and scratch stays
+    O(W * block * M) for W workers. A minimum is exact in any order, so the
+    output does not depend on the blocks or workers.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -278,9 +296,17 @@ def bourgain_embedding(
     k = k if k is not None else anchor_count(m)
     sets = sample_anchor_sets(ids, 0, fallback_id="0", k=k, seed=seed)
     out = np.empty((m, k), dtype=np.float64)
-    for j, s in enumerate(sets):
-        # Positions into ``ids``, which are the base matrix's columns.
-        out[:, j] = base[:, s.member_ids].min(axis=1) / k
+
+    def embed(lo, hi):
+        # Row c of the copy: the distances from the block's rows to record c.
+        block_t = np.ascontiguousarray(base[lo:hi].T)
+        for j, s in enumerate(sets):
+            # Positions into ``ids``, which are the base matrix's columns.
+            out[lo:hi, j] = block_t[s.member_ids].min(axis=0) / k
+
+    # Per row: the block's transposed copy and one set's gathered rows, each
+    # at most M float64 values.
+    map_blocks(embed, m, m * 16)
     return out
 
 

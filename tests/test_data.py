@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from evolmpnn import data
 from evolmpnn.data import (
     ALPHABET,
     AA_INDEX,
@@ -18,9 +19,12 @@ from evolmpnn.data import (
     LandscapeSpec,
     ProteinRecord,
     SplitError,
+    _hamming_rows,
+    _pack_words,
     knn_graph,
     load_family,
     load_split,
+    pairwise_hamming,
     save_family,
     save_split,
     split_lambda_vs_rest,
@@ -125,6 +129,28 @@ class TestLoadFamily:
         with pytest.raises(FamilyError, match=f"record 'p0' has {len(target)} target values"):
             Family(records)
 
+    def test_encoding_is_the_alphabet_index_of_each_residue(self):
+        seqs = [ALPHABET, ALPHABET[::-1], ALPHABET[7:] + ALPHABET[:7]]
+        fam = make_family(seqs)
+        expected = np.array([[AA_INDEX[a] for a in s] for s in seqs], dtype=np.uint8)
+        assert fam.encoded.dtype == np.uint8
+        np.testing.assert_array_equal(fam.encoded, expected)
+
+    @pytest.mark.parametrize(
+        "bad,shown",
+        [("a", "['a']"), ("-", "['-']"), ("\u00c9", "['\u00c9']"), ("\ud800", "['\\ud800']")],
+        ids=["lowercase", "gap", "non-ascii", "surrogate"],
+    )
+    def test_first_record_with_a_bad_residue_is_named(self, bad, shown):
+        seqs = ["ACDE", "AC" + bad + "E", bad + "CDE"]
+        with pytest.raises(FamilyError) as err:
+            make_family(seqs)
+        assert str(err.value) == f"invalid residue {shown} in record 'p1'"
+
+    def test_bad_target_before_a_bad_residue_is_reported_first(self):
+        with pytest.raises(FamilyError, match="non-finite target in record 'p1'"):
+            make_family(["ACDE", "ACDF", "ACDa"], targets=[0.0, float("nan"), 0.0])
+
     def test_sidecar_features_must_match_family(self):
         records = make_family(["AC", "CA", "CC"]).records
         with pytest.raises(FamilyError, match="protein_feats"):
@@ -181,6 +207,46 @@ class TestHamming:
             assert (hamming(a, b) == 0) == (a == b)
             assert hamming(a, b) == hamming(b, a)
             assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
+
+
+class TestPackedHamming:
+    @pytest.mark.parametrize("words_per_call", ["one", "many"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 32, 255, 256, 265, 300])
+    def test_equals_elementwise_count(self, monkeypatch, n, words_per_call):
+        if words_per_call == "one":
+            monkeypatch.setattr(data, "_STEP_PAIRS", 1)
+        rng = np.random.default_rng(n)
+        a = rng.integers(0, 3, size=(12, n)).astype(np.uint8)
+        # Rows 1 and 2 differ from row 0 at every position, row 1 only in
+        # each byte's top bit.
+        a[1] = a[0] ^ 0x80
+        a[2] = 255 - a[0]
+        a[3] = rng.integers(0, 256, size=n)
+        expected = (a[:, None] != a[None]).sum(axis=2)
+        got = _hamming_rows(_pack_words(a), 0, len(a))
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(_hamming_rows(_pack_words(a), 3, 7), expected[3:7])
+        dense = pairwise_hamming(a)
+        assert dense.dtype == np.int32
+        np.testing.assert_array_equal(dense, expected)
+        assert dense[0, 1] == dense[0, 2] == n
+
+    @pytest.mark.parametrize(
+        "encoded",
+        [
+            [[0, 1], [1, 0]],
+            np.zeros(4, dtype=np.uint8),
+            np.zeros((2, 2, 2), dtype=np.uint8),
+            np.zeros((2, 2), dtype=np.int8),
+            np.full((2, 2), 256, dtype=np.int64),
+            np.zeros((2, 2)),
+        ],
+        ids=["list", "1-d", "3-d", "int8", "int64", "float"],
+    )
+    def test_pairwise_rejects_anything_but_a_2d_uint8_array(self, encoded):
+        with pytest.raises(ValueError, match="encoded must be a 2-D uint8 array"):
+            pairwise_hamming(encoded)
 
 
 class TestLambdaVsRest:
@@ -347,6 +413,22 @@ class TestKnnGraph:
         shuffled = list(records)
         rng.shuffle(shuffled)
         assert id_edges(records) == id_edges(shuffled)
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_edges_equal_the_unique_rows_of_both_directions(self, k):
+        rng = np.random.default_rng(k)
+        seqs = ["".join(ALPHABET[c] for c in rng.integers(0, 3, size=6)) for _ in range(300)]
+        fam = make_family(seqs)
+        dist = (fam.encoded[:, None] != fam.encoded[None]).sum(axis=2)
+        np.fill_diagonal(dist, fam.n + 1)
+        # Nearest first, ties on ascending index: a stable sort by distance.
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        rows, cols = np.repeat(np.arange(fam.m), k), nearest.reshape(-1)
+        pairs = np.stack([np.concatenate([rows, cols]), np.concatenate([cols, rows])], axis=1)
+        expected = np.unique(pairs, axis=0)
+        edges = knn_graph(fam, k).edges
+        assert edges.dtype == expected.dtype and edges.shape == expected.shape
+        np.testing.assert_array_equal(edges, expected)
 
     @pytest.mark.usefixtures("fixed_workers")
     def test_paper_scale_family_in_bounded_memory(self):

@@ -29,6 +29,7 @@ from evolmpnn.evaluation import (
     rank_average,
     spearman,
 )
+from evolmpnn.evolution import sample_anchor_sets
 from evolmpnn.model import ModelConfig, init_params
 
 
@@ -313,6 +314,21 @@ class TestBourgainEmbedding:
             medians.append(np.median(alphas))
         assert medians[1] <= medians[0]
         assert medians[2] <= medians[1]
+
+    @pytest.mark.parametrize("workers", ["serial", "pooled"])
+    def test_bitwise_equal_to_the_column_gather(self, monkeypatch, request, workers):
+        if workers == "serial":
+            monkeypatch.setattr(data, "_POOL", None)
+        else:
+            request.getfixturevalue("fixed_workers")
+        m, k = 64, 12
+        base = np.random.default_rng(5).random((m, m))  # not symmetric
+        sets = sample_anchor_sets([str(i) for i in range(m)], 0, fallback_id="0", k=k, seed=2)
+        expected = np.stack([base[:, s.member_ids].min(axis=1) / k for s in sets], axis=1)
+        monkeypatch.setattr(data, "_block_rows", lambda bytes_per_row: 7)
+        got = bourgain_embedding(base, k=k, seed=2)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "base,message",

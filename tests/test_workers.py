@@ -373,7 +373,7 @@ class TestPoolSize:
         code += (
             "from evolmpnn import cli, data\n"
             "import numpy as np\n"
-            "data.pairwise_hamming(np.zeros((2048, 4), dtype=np.int8))\n"
+            "data.pairwise_hamming(np.zeros((2048, 4), dtype=np.uint8))\n"
             "print(json.dumps({'blas': [os.environ.get(v) for v in %r],\n"
             "    'cpus': len(os.sched_getaffinity(0)),\n"
             "    'pool': None if data._POOL is None else data._POOL._max_workers,\n"
